@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import yaml
@@ -51,10 +50,6 @@ class SegmentConfig:
         }
 
 
-def _default_listeners() -> int:
-    return os.cpu_count() or 1
-
-
 @dataclass(frozen=True)
 class GatewayConfig:
     segments: tuple[SegmentConfig, ...]
@@ -64,7 +59,9 @@ class GatewayConfig:
     dispatch_cycle_ms: int = 10_000
     max_slots: int = 64
     queue_capacity: int | None = None
-    listeners: int = field(default_factory=_default_listeners)
+    # accepted and validated, but a no-op: the gateway has one ingest
+    # worker on its one event loop, where more would add no parallelism
+    listeners: int = 1
 
     def __post_init__(self) -> None:
         if not self.segments:

@@ -2,11 +2,13 @@
 wired together on one asyncio event loop.
 
 Each slot is owned by a single task cycling connect -> wait -> send ->
-commit against a persistent connection per segment. A batch is kept in
-memory until every segment acknowledges its commit; a connection lost
-mid-send aborts the segment transaction (nothing became visible) and
-the retained rows go back into the pipeline, so no record is silently
-lost and none is committed twice. The scheduler tick runs as its own
+commit against a persistent connection per segment. The send window
+writes each row's line exactly as the producer posted it. A batch is
+kept in memory, as the bytes already written to each segment, until
+every segment acknowledges its commit; a connection lost mid-send
+aborts the segment transaction (nothing became visible) and the
+retained rows go back into the pipeline, so no record is silently lost
+and none is committed twice. The scheduler tick runs as its own
 task and talks to slots through per-slot command queues; slots report
 phase changes back by mutating the shared scheduler state, which is
 safe because everything lives on one loop.
@@ -22,7 +24,7 @@ from .clock import WallClock
 from .config import GatewayConfig
 from .ingest import IngestServer
 from .metrics import Counters
-from .pipeline import LockFreeQueue
+from .pipeline import RowFifo
 from .records import Record
 from .scheduler import (
     AbortSlot,
@@ -63,7 +65,10 @@ class SlotRunner:
     slot: Slot
     commands: asyncio.Queue = field(default_factory=asyncio.Queue)
     links: list[_SegmentLink] = field(default_factory=list)
-    batch: list[Record] = field(default_factory=list)
+    # rows retained since the send window opened, and per link the
+    # encoded blobs written to it, kept until the commit is acked
+    batch: int = 0
+    sent: list[list[bytes]] = field(default_factory=list)
     # link indexes where an EOF write was attempted this cycle; rows
     # routed there are ambiguous after a failure (the commit may have
     # landed) and must not be re-enqueued
@@ -139,23 +144,24 @@ class SlotRunner:
         self.slot.transition(SlotPhase.SEND, Initiator.SCHEDULER, now)
         deadline = now + gw.t_d_us
         n_segs = len(self.links)
-        buffers: list[list[str]] = [[] for _ in range(n_segs)]
+        self.sent = [[] for _ in range(n_segs)]
         while True:
             remaining = deadline - gw.now()
             if remaining <= 0:
                 break
-            room = gw.max_batch_rows - len(self.batch)
+            room = gw.max_batch_rows - self.batch
             chunk = gw.queue.drain_up_to(min(DRAIN_CHUNK, room)) if room else []
             if chunk:
-                self.batch.extend(chunk)
+                self.batch += len(chunk)
+                buffers: list[list[str]] = [[] for _ in range(n_segs)]
                 for rec in chunk:
-                    buffers[route_record(rec.device_id, n_segs)].append(rec.to_line())
+                    buffers[route_record(rec.device_id, n_segs)].append(rec.line)
                 for idx, buf in enumerate(buffers):
                     if buf:
-                        self.links[idx].writer.write(
-                            ("\n".join(buf) + "\n").encode()
-                        )
-                        buf.clear()
+                        buf.append("")  # every row, the last too, ends in \n
+                        blob = "\n".join(buf).encode()
+                        self.sent[idx].append(blob)
+                        self.links[idx].writer.write(blob)
                 for link in self.links:
                     await link.writer.drain()
             else:
@@ -169,7 +175,7 @@ class SlotRunner:
 
     async def _commit(self, txn: str) -> int | None:
         gw = self.gateway
-        rows = len(self.batch)
+        rows = self.batch
         eof_at = gw.now()
         self.slot.batch_rows = rows
         # the one slot-initiated edge: the collection interval is over
@@ -183,7 +189,7 @@ class SlotRunner:
             else:
                 # no data this cycle: drop the empty transaction
                 # instead of paying its commit cost
-                self._retire_marked(committed=False)
+                self._retire_marked()
                 return None
         for idx, link in enumerate(self.links):
             self.eof_attempted.add(idx)
@@ -202,22 +208,23 @@ class SlotRunner:
         gw.state.note_commit_acked(self.slot.slot_id, ack_at)
         gw.counters.add("rows_committed", rows)
         gw.counters.set_gauge("last_commit_ms", ack_at // 1000)
-        self.batch.clear()
+        self.batch = 0
+        self.sent = []
         if self.slot.marked_for_abort:
-            self._retire_marked(committed=True)
+            self._retire_marked()
             return None
         self.slot.transition(SlotPhase.CONNECT, Initiator.SCHEDULER, ack_at)
         return rows
 
     # -- teardown ------------------------------------------------------
 
-    def _retire_marked(self, committed: bool) -> None:
+    def _retire_marked(self) -> None:
+        # only reached with nothing retained: an empty batch, or one
+        # whose commit was acked
         gw = self.gateway
         self.slot.transition(SlotPhase.RETIRED, Initiator.SCHEDULER, gw.now())
         self._close_links()
         gw.state.note_retired(self.slot.slot_id, gw.now())
-        if not committed:
-            self.batch.clear()
 
     def _fail(self) -> None:
         """Connection or protocol failure. A segment only publishes on
@@ -229,17 +236,20 @@ class SlotRunner:
             self.slot.transition(SlotPhase.RETIRED, Initiator.FAILURE, gw.now())
             if not self.doomed:
                 gw.state.note_retired(self.slot.slot_id, gw.now())
-        n_segs = len(self.links)
         self._close_links()
-        if self.batch and n_segs:
-            safe = [
-                rec
-                for rec in self.batch
-                if route_record(rec.device_id, n_segs) not in self.eof_attempted
-            ]
-            if safe:
-                gw.queue.extend(safe)
-        self.batch.clear()
+        # a row's line holds no newline, and every blob ends with one
+        safe = [
+            Record(line[: line.index(",")], line, -1, gw.schema)
+            for idx, blobs in enumerate(self.sent)
+            if idx not in self.eof_attempted
+            for blob in blobs
+            for line in blob.decode().split("\n")[:-1]
+        ]
+        if safe:
+            # ahead of rows accepted later, to keep each device's order
+            gw.queue.requeue(safe)
+        self.batch = 0
+        self.sent = []
 
     def _close_links(self) -> None:
         for link in self.links:
@@ -254,7 +264,8 @@ class Gateway:
     def __init__(self, config: GatewayConfig, *, keep_decision_log: bool = False) -> None:
         self.config = config
         self.clock = WallClock()
-        self.queue = LockFreeQueue(capacity=config.queue_capacity)
+        self.queue = RowFifo(capacity=config.queue_capacity)
+        self.schema = config.schema_obj()
         self.counters = Counters()
         self.t_d_us = config.interval_ms * 1000
         self.max_batch_rows = 1_000_000
@@ -267,14 +278,7 @@ class Gateway:
         self.state = SchedulerState(params, log=self.decision_log)
         self.nonce = uuid.uuid4().hex[:8]
         host, port = config.listen_host_port()
-        self.ingest = IngestServer(
-            self.queue,
-            config.schema_obj(),
-            self.counters,
-            host,
-            port,
-            listeners=config.listeners,
-        )
+        self.ingest = IngestServer(self.queue, self.schema, self.counters, host, port)
         self.runners: dict[int, SlotRunner] = {}
         self.audit_slots: list[Slot] = []
         self._tick_task: asyncio.Task | None = None

@@ -1,8 +1,9 @@
 """Ingest listener: accepts posted CSV lines and feeds the pipeline.
 
 The HTTP layer is a deliberately small hand-rolled HTTP/1.1 server on
-asyncio streams (persistent connections, Content-Length bodies only).
-Three routes:
+asyncio streams (persistent connections, Content-Length bodies only:
+a malformed length is answered 400 and any Transfer-Encoding 411, and
+either closes the connection). Three routes:
 
     POST /ingest   body: CSV lines -> JSON {accepted, rejected,
                    backpressured}; status 429 when anything was
@@ -11,8 +12,8 @@ Three routes:
     GET  /metrics  flat key=value counter document
 
 A malformed line is counted, logged, and skipped; it never affects its
-neighbors. Accepted records get a per-listener dense sequence number
-for audit; a backpressured line does not burn one.
+neighbors. Accepted records get a dense sequence number for audit; a
+backpressured line does not burn one.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .metrics import Counters
-from .pipeline import EnqueueResult, LockFreeQueue
-from .records import IngestError, Record, Schema, parse_record
+from .pipeline import EnqueueResult, RowFifo
+from .records import IngestError, Schema, parse_record
 
 MAX_BODY_BYTES = 8 * 1024 * 1024
 ERROR_LOG_LIMIT = 1000
@@ -52,41 +53,34 @@ def _now_us() -> int:
 
 
 class LineIngestor:
-    """One listener's parse-and-enqueue worker.
+    """The parse-and-enqueue worker behind ``POST /ingest``.
 
     Owns the dense seq counter for records it accepts. Not safe for
-    concurrent calls; each listener task gets its own instance.
+    concurrent calls.
     """
 
-    def __init__(
-        self,
-        queue: LockFreeQueue,
-        schema: Schema,
-        listener_id: int = 0,
-        error_log: deque | None = None,
-    ) -> None:
+    def __init__(self, queue: RowFifo, schema: Schema) -> None:
         self.queue = queue
         self.schema = schema
-        self.listener_id = listener_id
-        self.error_log = error_log if error_log is not None else deque(maxlen=ERROR_LOG_LIMIT)
+        self.error_log: deque[IngestError] = deque(maxlen=ERROR_LOG_LIMIT)
         self.next_seq = 0
 
     def handle_post(self, body: str) -> IngestReport:
         accepted = rejected = backpressured = 0
         lines = body.splitlines()
+        schema = self.schema
+        enqueue = self.queue.enqueue
+        seq = self.next_seq
+        now_us = _now_us()
         for line_number, line in enumerate(lines, start=1):
             parsed = parse_record(
-                line,
-                self.schema,
-                seq=self.next_seq,
-                line_number=line_number,
-                now_us=_now_us(),
+                line, schema, seq=seq, line_number=line_number, now_us=now_us
             )
             if isinstance(parsed, IngestError):
                 self.error_log.append(parsed)
                 rejected += 1
-            elif self.queue.enqueue(parsed) is EnqueueResult.ACCEPTED:
-                self.next_seq += 1
+            elif enqueue(parsed) is EnqueueResult.ACCEPTED:
+                seq += 1
                 accepted += 1
             else:
                 # stop at the first full-queue signal so the
@@ -94,6 +88,7 @@ class LineIngestor:
                 # and the producer can re-post them without duplicates
                 backpressured = len(lines) - line_number + 1
                 break
+        self.next_seq = seq
         return IngestReport(accepted, rejected, backpressured)
 
 
@@ -104,8 +99,8 @@ def _http_response(
     keep_alive: bool = True,
 ) -> bytes:
     reason = {200: "OK", 404: "Not Found", 405: "Method Not Allowed",
-              413: "Payload Too Large", 429: "Too Many Requests",
-              400: "Bad Request"}.get(status, "Error")
+              411: "Length Required", 413: "Payload Too Large",
+              429: "Too Many Requests", 400: "Bad Request"}.get(status, "Error")
     conn = "keep-alive" if keep_alive else "close"
     head = (
         f"HTTP/1.1 {status} {reason}\r\n"
@@ -117,25 +112,20 @@ def _http_response(
 
 
 class IngestServer:
-    """The HTTP front of the gateway. Connections are spread
-    round-robin over ``listeners`` ingestor workers sharing one
-    pipeline."""
+    """The HTTP front of the gateway. Every connection feeds the one
+    ingestor, on the gateway's event loop; ``ingestors`` lists it."""
 
     def __init__(
         self,
-        queue: LockFreeQueue,
+        queue: RowFifo,
         schema: Schema,
         counters: Counters,
         host: str = "127.0.0.1",
         port: int = 0,
-        listeners: int = 1,
     ) -> None:
         self.queue = queue
         self.counters = counters
-        self.error_log: deque[IngestError] = deque(maxlen=ERROR_LOG_LIMIT)
-        self.ingestors = [
-            LineIngestor(queue, schema, i, self.error_log) for i in range(listeners)
-        ]
+        self.ingestors = [LineIngestor(queue, schema)]
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None
@@ -163,7 +153,6 @@ class IngestServer:
     async def _serve(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        ingestor = self.ingestors[self._conn_count % len(self.ingestors)]
         self._conn_count += 1
         self._conns.add(writer)
         try:
@@ -179,22 +168,35 @@ class IngestServer:
                     break
                 length = 0
                 keep_alive = True
+                refusal = None
                 while True:
                     header = await reader.readline()
                     if header in (b"\r\n", b"\n", b""):
                         break
                     name, _, value = header.decode().partition(":")
                     name = name.strip().lower()
+                    value = value.strip()
                     if name == "content-length":
-                        length = int(value.strip())
-                    elif name == "connection" and value.strip().lower() == "close":
+                        if value.isdigit() and value.isascii():
+                            length = int(value)
+                        else:
+                            refusal = _http_response(
+                                400, b"bad content-length\n", keep_alive=False)
+                    elif name == "transfer-encoding":
+                        # only Content-Length framing is spoken; reading
+                        # on would take the chunks for the next request
+                        refusal = _http_response(
+                            411, b"content-length required\n", keep_alive=False)
+                    elif name == "connection" and value.lower() == "close":
                         keep_alive = False
-                if length > MAX_BODY_BYTES:
-                    writer.write(_http_response(413, b"body too large\n", keep_alive=False))
+                if refusal is None and length > MAX_BODY_BYTES:
+                    refusal = _http_response(413, b"body too large\n", keep_alive=False)
+                if refusal is not None:
+                    writer.write(refusal)
                     await writer.drain()
                     break
                 body = await reader.readexactly(length) if length else b""
-                response = self._route(method, path, body, ingestor, keep_alive)
+                response = self._route(method, path, body, keep_alive)
                 writer.write(response)
                 await writer.drain()
                 if not keep_alive:
@@ -209,16 +211,9 @@ class IngestServer:
             except (ConnectionError, OSError):
                 pass
 
-    def _route(
-        self,
-        method: str,
-        path: str,
-        body: bytes,
-        ingestor: LineIngestor,
-        keep_alive: bool,
-    ) -> bytes:
+    def _route(self, method: str, path: str, body: bytes, keep_alive: bool) -> bytes:
         if method == "POST" and path == "/ingest":
-            report = ingestor.handle_post(body.decode("utf-8", errors="replace"))
+            report = self.ingestors[0].handle_post(body.decode("utf-8", errors="replace"))
             self.counters.add("rows_accepted", report.accepted)
             self.counters.add("rows_rejected", report.rejected)
             self.counters.add("rows_backpressured", report.backpressured)

@@ -1,18 +1,31 @@
-"""Unbounded-or-bounded MPMC FIFO used between listeners and slots.
+"""FIFOs between the ingest listener and the sending slot.
 
-The queue is the two-pointer linked-list design built on single-word
-compare-and-swap: head and tail each live in a versioned reference and
-every successful swap bumps a modification counter, so a swap presented
-with a stale counter fails even when the node reference matches (the
-classic reuse hazard). CPython has no hardware CAS, so the primitive
-emulates one word with a tuple swapped under a private lock; readers
-load the tuple without locking, which the GIL makes atomic. All
-higher-level lock-freedom claims are relative to that primitive.
+``RowFifo`` is the live gateway's queue: a deque plus a capacity bound,
+for producers and a consumer that share one asyncio event loop.
+
+``LockFreeQueue`` is the reproduced multi-producer multi-consumer
+design, kept as the reference the queue contract is tested against. It
+is the two-pointer linked-list queue built on single-word
+compare-and-swap (Michael & Scott, PODC 1996): head and tail each live
+in a versioned reference and every successful swap bumps a
+modification counter, so a swap presented with a stale counter fails
+even when the node reference matches (the classic reuse hazard).
+CPython has no hardware CAS, so the primitive emulates one word with a
+tuple swapped under a private lock; readers load the tuple without
+locking, which the GIL makes atomic. All higher-level lock-freedom
+claims are relative to that primitive.
+
+Both share one contract: ``enqueue`` answers BACKPRESSURE instead of
+growing past the capacity, ``extend`` stops at the first refusal,
+``dequeue``/``drain_up_to`` take from the head, and ``approx_len`` is
+exact when nothing is in flight.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
+from collections import deque
 from enum import Enum
 from typing import Any, Iterable
 
@@ -161,3 +174,57 @@ class LockFreeQueue:
                 break
             n += 1
         return n
+
+
+class RowFifo:
+    """Bounded-or-unbounded FIFO for one event loop; not thread-safe.
+
+    The live gateway parses, enqueues and drains on a single asyncio
+    thread, where the compare-and-swap machinery of ``LockFreeQueue``
+    buys nothing and costs most of the per-row queue time.
+    """
+
+    def __init__(self, capacity: int | None = None) -> None:
+        if capacity is not None and capacity < 0:
+            raise ValueError("capacity must be non-negative or None")
+        self._items: deque = deque()
+        self._limit = sys.maxsize if capacity is None else capacity
+
+    def enqueue(self, item: Any) -> EnqueueResult:
+        if item is None:
+            raise ValueError("queue items may not be None")
+        items = self._items
+        if len(items) >= self._limit:
+            return EnqueueResult.BACKPRESSURE
+        items.append(item)
+        return EnqueueResult.ACCEPTED
+
+    # the same loop over ``self.enqueue``
+    extend = LockFreeQueue.extend
+
+    def requeue(self, items: list) -> None:
+        """Put already-admitted items back at the head, in order.
+
+        The capacity does not apply: these rows were accepted once, and
+        refusing them now would lose them.
+        """
+        self._items.extendleft(reversed(items))
+
+    def dequeue(self) -> Any | None:
+        items = self._items
+        return items.popleft() if items else None
+
+    def drain_up_to(self, max_items: int) -> list:
+        if max_items < 0:
+            raise ValueError("max_items must be >= 0")
+        items = self._items
+        if max_items >= len(items):
+            out = list(items)
+            items.clear()
+            return out
+        popleft = items.popleft
+        return [popleft() for _ in range(max_items)]
+
+    def approx_len(self) -> int:
+        """Exact: there are no in-flight operations on one loop."""
+        return len(self._items)

@@ -4,12 +4,28 @@ A wire line is ``<device-id>,<timestamp-us>,<v1>,...,<vN>`` where the
 value columns are declared by a schema. Parsing never raises on bad
 input; it returns a structured rejection instead so the listener can
 count and log it.
+
+An accepted line is forwarded to its segment byte for byte, so
+validation is strict about spelling, not only about value:
+
+    timestamp  ASCII digits: ``[0-9]+``
+    int        ``[+-]?[0-9]+`` (leading zeros allowed)
+    float      a finite decimal literal: optional sign, digits with an
+               optional fraction or a bare fraction (``.5``), optional
+               exponent (``1e3``)
+    str        anything without a comma
+
+Whitespace, ``_`` digit separators, non-ASCII digits, ``nan``, ``inf``
+and literals that overflow a double are rejected, although Python's
+``int()`` and ``float()`` would take them.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
+from math import isfinite
 from typing import Callable, NamedTuple
 
 # wire keywords of the segment protocol; a device id may not collide
@@ -20,17 +36,27 @@ _RAW_TRUNCATE_BYTES = 1024
 
 
 class Record(NamedTuple):
-    """One accepted row. ``seq`` is assigned by the listener for audit."""
+    """One accepted row: the producer's line, verbatim, plus its
+    device id for routing. ``seq`` is the listener's dense accept
+    number, for audit; a row re-queued after a failed send carries -1.
+    The typed view is decoded on demand against ``schema``."""
 
     device_id: str
-    timestamp: int  # epoch microseconds
-    values: tuple
+    line: str
     seq: int
+    schema: "Schema"
+
+    @property
+    def timestamp(self) -> int:
+        return int(self.line.split(",", 2)[1])
+
+    @property
+    def values(self) -> tuple:
+        raw = self.line.split(",")[2:]
+        return tuple(conv(v) for conv, v in zip(self.schema.converters, raw))
 
     def to_line(self) -> str:
-        return f"{self.device_id},{self.timestamp}," + ",".join(
-            str(v) for v in self.values
-        )
+        return self.line
 
 
 class RejectReason(str, Enum):
@@ -63,6 +89,22 @@ _CONVERTERS: dict[str, Callable[[str], object]] = {
     "str": str,
 }
 
+_INT_MATCH = re.compile(r"[+-]?[0-9]+").fullmatch
+_FLOAT_MATCH = re.compile(
+    r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+).fullmatch
+
+
+def _float_ok(raw: str) -> bool:
+    return _FLOAT_MATCH(raw) is not None and isfinite(float(raw))
+
+
+# spelling checks per column kind; ``str`` takes any field
+_CHECKS: dict[str, Callable[[str], object]] = {
+    "int": _INT_MATCH,
+    "float": _float_ok,
+}
+
 
 class Schema:
     """Ordered value columns following the two fixed leading columns."""
@@ -77,6 +119,11 @@ class Schema:
                 raise ValueError("empty column name")
         self.columns = list(columns)
         self.converters = [_CONVERTERS[kind] for _, kind in columns]
+        # (field index, check) for every column whose spelling matters
+        self.checks = [
+            (i, _CHECKS[kind]) for i, (_, kind) in enumerate(columns, start=2)
+            if kind in _CHECKS
+        ]
         self.field_count = 2 + len(columns)
 
     @classmethod
@@ -119,35 +166,25 @@ def parse_record(
     line_number: int = 1,
     now_us: int = 0,
 ) -> Record | IngestError:
-    """Parse one CSV line against ``schema``.
+    """Validate one CSV line against ``schema``.
 
-    Returns a Record on success, otherwise an IngestError carrying the
-    first applicable rejection reason. Checks run in the order: device
-    id, column count, timestamp, value types.
+    Returns a Record carrying the line unchanged on success, otherwise
+    an IngestError with the first applicable rejection reason. Checks
+    run in the order: device id, column count, timestamp, value types.
     """
     fields = line.split(",")
-    if not device_id_ok(fields[0]):
-        return IngestError(
-            line_number, IngestError.truncate(line), RejectReason.EMPTY_DEVICE, now_us
-        )
-    if len(fields) != schema.field_count:
-        return IngestError(
-            line_number, IngestError.truncate(line), RejectReason.ARITY, now_us
-        )
-    try:
-        timestamp = int(fields[1])
-    except ValueError:
-        timestamp = -1
-    if timestamp < 0:
-        return IngestError(
-            line_number, IngestError.truncate(line), RejectReason.BAD_TIMESTAMP, now_us
-        )
-    try:
-        values = tuple(
-            conv(raw) for conv, raw in zip(schema.converters, fields[2:])
-        )
-    except ValueError:
-        return IngestError(
-            line_number, IngestError.truncate(line), RejectReason.TYPE, now_us
-        )
-    return Record(fields[0], timestamp, values, seq)
+    device = fields[0]
+    if not device_id_ok(device):
+        reason = RejectReason.EMPTY_DEVICE
+    elif len(fields) != schema.field_count:
+        reason = RejectReason.ARITY
+    elif not (fields[1].isdigit() and fields[1].isascii()):
+        reason = RejectReason.BAD_TIMESTAMP
+    else:
+        for i, check in schema.checks:
+            if not check(fields[i]):
+                reason = RejectReason.TYPE
+                break
+        else:
+            return Record(device, line, seq, schema)
+    return IngestError(line_number, IngestError.truncate(line), reason, now_us)

@@ -6,9 +6,10 @@ import json
 from contextlib import asynccontextmanager
 
 from gateflow.config import GatewayConfig, SegmentConfig
-from gateflow.gateway import Gateway
+from gateflow.gateway import Gateway, SlotRunner
+from gateflow.records import Record
 from gateflow.segment import SegmentDaemon, start_cluster
-from gateflow.slot import Initiator, SlotPhase, route_record
+from gateflow.slot import Initiator, Slot, SlotPhase, route_record
 
 
 def lines_for(seqs, devices=5):
@@ -54,6 +55,7 @@ async def live_gateway(
     max_slots=4,
     queue_capacity=None,
     seg_kw=None,
+    schema="seq:int",
 ):
     seg_kw = seg_kw or {}
     daemons = await start_cluster(
@@ -64,7 +66,7 @@ async def live_gateway(
             SegmentConfig(id=d.spec.id, port=d.bound_port, **seg_kw) for d in daemons
         ),
         listen_addr="127.0.0.1:0",
-        schema="seq:int",
+        schema=schema,
         interval_ms=interval_ms,
         dispatch_cycle_ms=dispatch_cycle_ms,
         max_slots=max_slots,
@@ -106,6 +108,25 @@ class TestEndToEnd:
                         assert route_record(device, 2) == idx
                 seqs = seqs_in(committed)
                 assert sorted(seqs) == list(range(300))  # each row exactly once
+
+        asyncio.run(go())
+
+    def test_lines_reach_the_segments_byte_equal(self):
+        # rows are forwarded as posted, never re-serialized: "3.50"
+        # stays "3.50" and "1e3" stays "1e3"
+        async def go():
+            async with live_gateway(n_segments=2, schema="value:float") as (gw, daemons):
+                lines = ["d1,5,3.50", "d2,0007,1e3", "d3,8,-0.0", "d4,9,+.25E-1"]
+                lines += [f"dev{i},{i},{i}.10" for i in range(50)]
+                status, report = await post_lines(gw.ingest_port, lines)
+                assert (status, report["accepted"]) == (200, len(lines))
+                assert await gw.quiesce(timeout_s=20)
+                committed = []
+                for idx, d in enumerate(daemons):
+                    for line in d.store.committed_lines():
+                        assert route_record(line.split(",")[0], 2) == idx
+                        committed.append(line)
+                assert sorted(committed) == sorted(lines)
 
         asyncio.run(go())
 
@@ -203,7 +224,14 @@ class TestFailureRecovery:
                 assert old.store.total_rows == 1000
 
                 # wave B: kill the daemon early in a send window, long
-                # before the commit boundary can race the shutdown
+                # before the commit boundary can race the shutdown. The
+                # lone slot idles through whole windows, so post while
+                # it waits for dispatch: the next window then drains
+                # wave B at its start, not at some random age
+                for _ in range(2000):
+                    if any(r.slot.phase is SlotPhase.WAIT for r in gw.runners.values()):
+                        break
+                    await asyncio.sleep(0.001)
                 await post_lines(gw.ingest_port, lines_for(range(1000, 5000)))
                 killed = False
                 for _ in range(400):
@@ -316,3 +344,43 @@ class TestFailureRecovery:
                 await server.wait_closed()
 
         asyncio.run(go())
+
+
+class TestRetainedBatch:
+    def test_fail_requeues_only_links_without_eof_in_order(self):
+        # a slot sent to three segments and had written EOF to the
+        # second when its link failed: the second's rows may be
+        # committed, the others' cannot be, and go back in order
+        # ahead of rows accepted since
+        config = GatewayConfig(
+            segments=tuple(SegmentConfig(id=f"seg{i}", port=0) for i in range(3)),
+            listen_addr="127.0.0.1:0",
+            schema="seq:int",
+        )
+        gw = Gateway(config)
+        sid = gw.state.note_activated(0)
+        slot = Slot(slot_id=sid, segment_count=3)
+        slot.transition(SlotPhase.WAIT, Initiator.SCHEDULER, 1, "t")
+        slot.transition(SlotPhase.SEND, Initiator.SCHEDULER, 2)
+        runner = SlotRunner(gw, slot)
+        runner.sent = [
+            [b"a,1,0\nb,1,1\n", b"a,2,2\n"],
+            [b"c,1,3\n"],
+            [b"d,1,4\n", b"e,1,5\nd,2,6\n"],
+        ]
+        runner.batch = 7
+        runner.eof_attempted = {1}
+        later = Record("z", "z,9,9", 9, gw.schema)
+        gw.queue.enqueue(later)
+
+        runner._fail()
+
+        requeued = gw.queue.drain_up_to(100)
+        assert [r.line for r in requeued] == [
+            "a,1,0", "b,1,1", "a,2,2", "d,1,4", "e,1,5", "d,2,6", "z,9,9",
+        ]
+        assert [r.device_id for r in requeued[:-1]] == ["a", "b", "a", "d", "e", "d"]
+        assert requeued[-1] is later
+        assert runner.batch == 0 and runner.sent == []
+        assert slot.history[-1].initiator is Initiator.FAILURE
+        assert slot.retired and sid not in gw.state.slots

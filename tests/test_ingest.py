@@ -4,13 +4,14 @@ import asyncio
 import json
 from contextlib import asynccontextmanager
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gateflow.ingest import IngestServer, LineIngestor, MAX_BODY_BYTES
 from gateflow.metrics import COUNTER_KEYS, Counters
-from gateflow.pipeline import LockFreeQueue
-from gateflow.records import IngestError, Record, Schema, parse_record
+from gateflow.pipeline import RowFifo
+from gateflow.records import IngestError, Schema, parse_record
 
 SCHEMA = Schema.parse_spec("value:float")
 
@@ -21,7 +22,7 @@ BAD_DEVICE = ",1000,3.5"
 
 
 def ingestor(capacity=None):
-    return LineIngestor(LockFreeQueue(capacity), SCHEMA)
+    return LineIngestor(RowFifo(capacity), SCHEMA)
 
 
 class TestHandlePost:
@@ -32,7 +33,9 @@ class TestHandlePost:
         records = ing.queue.drain_up_to(10)
         assert [r.device_id for r in records] == ["dev1", "dev2", "dev3"]
         assert [r.seq for r in records] == [0, 1, 2]
-        assert records[0] == Record("dev1", 1, (0.5,), 0)
+        # the row keeps the producer's line; the typed view decodes it
+        assert records[0].line == "dev1,1,0.5"
+        assert (records[0].timestamp, records[0].values) == (1, (0.5,))
 
     def test_malformed_line_skipped_not_fatal(self):
         ing = ingestor()
@@ -154,10 +157,10 @@ class Http:
 
 
 @asynccontextmanager
-async def server(capacity=None, listeners=1):
-    queue = LockFreeQueue(capacity)
+async def server(capacity=None):
+    queue = RowFifo(capacity)
     counters = Counters()
-    srv = IngestServer(queue, SCHEMA, counters, listeners=listeners)
+    srv = IngestServer(queue, SCHEMA, counters)
     await srv.start()
     try:
         yield srv, queue, counters
@@ -293,18 +296,30 @@ class TestHttpServer:
 
         asyncio.run(go())
 
-    def test_connections_round_robin_over_listeners(self):
+    @pytest.mark.parametrize(
+        "header, status",
+        [
+            ("Content-Length: abc", 400),
+            ("Content-Length: -3", 400),
+            ("Transfer-Encoding: chunked", 411),
+        ],
+    )
+    def test_unframable_body_refused_and_closed(self, header, status):
         async def go():
-            async with server(listeners=2) as (srv, queue, _):
-                c1 = await Http.connect(srv.bound_port)
-                c2 = await Http.connect(srv.bound_port)
-                # order the requests so assignment is deterministic
-                await c1.request("POST", "/ingest", b"dev1,1,0.5\ndev1,2,0.5\n")
-                await c2.request("POST", "/ingest", b"dev2,1,0.5\n")
-                assert srv.ingestors[0].next_seq == 2
-                assert srv.ingestors[1].next_seq == 1
-                assert queue.approx_len() == 3
-                await c1.close()
-                await c2.close()
+            async with server() as (srv, queue, _):
+                c = await Http.connect(srv.bound_port)
+                c.writer.write(
+                    f"POST /ingest HTTP/1.1\r\nHost: t\r\n{header}\r\n\r\n"
+                    "3\r\ndev1,1,0.5\r\n0\r\n\r\n".encode()
+                )
+                await c.writer.drain()
+                status_line = await c.reader.readline()
+                assert int(status_line.split(b" ")[1]) == status
+                # the body's end is unknown, so the server hangs up
+                # rather than read what follows as the next request
+                await asyncio.wait_for(c.reader.read(), 5)
+                assert c.reader.at_eof()
+                assert queue.approx_len() == 0
+                await c.close()
 
         asyncio.run(go())

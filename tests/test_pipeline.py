@@ -1,5 +1,9 @@
 """Queue unit tests, a model-based property suite, and the staged
-reuse-hazard schedule that must fail its compare-and-swap."""
+reuse-hazard schedule that must fail its compare-and-swap.
+
+The contract tests run against both queues: ``LockFreeQueue``, the
+reproduced reference, and ``RowFifo``, the gateway's single-loop FIFO;
+each ``...RowFifo`` class reruns its parent's tests on the latter."""
 
 import threading
 from collections import deque
@@ -8,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gateflow.pipeline import EnqueueResult, LockFreeQueue, VersionedRef
+from gateflow.pipeline import EnqueueResult, LockFreeQueue, RowFifo, VersionedRef
 
 
 def drain_all(q):
@@ -21,45 +25,53 @@ def drain_all(q):
 
 
 class TestBasics:
+    queue_cls = LockFreeQueue
+
     def test_fifo_four_chars(self):
-        q = LockFreeQueue()
+        q = self.queue_cls()
         for ch in "MATR":
             assert q.enqueue(ch) is EnqueueResult.ACCEPTED
         assert q.approx_len() == 4
         assert drain_all(q) == ["M", "A", "T", "R"]
 
     def test_dequeue_empty(self):
-        assert LockFreeQueue().dequeue() is None
+        assert self.queue_cls().dequeue() is None
 
     def test_round_trip(self):
-        q = LockFreeQueue()
+        q = self.queue_cls()
         q.enqueue("x")
         assert q.dequeue() == "x"
         assert q.dequeue() is None
 
     def test_single_producer_order(self):
-        q = LockFreeQueue()
+        q = self.queue_cls()
         for i in range(1, 1001):
             q.enqueue(i)
         assert drain_all(q) == list(range(1, 1001))
 
     def test_none_rejected(self):
         with pytest.raises(ValueError):
-            LockFreeQueue().enqueue(None)
+            self.queue_cls().enqueue(None)
+
+
+class TestBasicsRowFifo(TestBasics):
+    queue_cls = RowFifo
 
 
 class TestCapacity:
+    queue_cls = LockFreeQueue
+
     def test_zero_capacity_backpressures(self):
-        q = LockFreeQueue(capacity=0)
+        q = self.queue_cls(capacity=0)
         assert q.enqueue("a") is EnqueueResult.BACKPRESSURE
         assert q.approx_len() == 0
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            LockFreeQueue(capacity=-1)
+            self.queue_cls(capacity=-1)
 
     def test_backpressure_at_capacity(self):
-        q = LockFreeQueue(capacity=3)
+        q = self.queue_cls(capacity=3)
         for i in range(3):
             assert q.enqueue(i) is EnqueueResult.ACCEPTED
         assert q.enqueue(99) is EnqueueResult.BACKPRESSURE
@@ -70,33 +82,45 @@ class TestCapacity:
         assert drain_all(q) == [1, 2, 3]
 
     def test_extend_stops_at_capacity(self):
-        q = LockFreeQueue(capacity=2)
+        q = self.queue_cls(capacity=2)
         assert q.extend(iter(range(5))) == 2
         assert drain_all(q) == [0, 1]
 
 
+class TestCapacityRowFifo(TestCapacity):
+    queue_cls = RowFifo
+
+
 class TestDrain:
+    queue_cls = LockFreeQueue
+
     def test_underfull(self):
-        q = LockFreeQueue()
+        q = self.queue_cls()
         q.extend([1, 2, 3])
         assert q.drain_up_to(10) == [1, 2, 3]
 
     def test_partial_preserves_rest(self):
-        q = LockFreeQueue()
+        q = self.queue_cls()
         q.extend(range(10))
         assert q.drain_up_to(4) == [0, 1, 2, 3]
         assert drain_all(q) == [4, 5, 6, 7, 8, 9]
 
     def test_empty(self):
-        assert LockFreeQueue().drain_up_to(5) == []
+        assert self.queue_cls().drain_up_to(5) == []
+
+
+class TestDrainRowFifo(TestDrain):
+    queue_cls = RowFifo
 
 
 class TestApproxLen:
+    queue_cls = LockFreeQueue
+
     def test_fresh(self):
-        assert LockFreeQueue().approx_len() == 0
+        assert self.queue_cls().approx_len() == 0
 
     def test_quiescent_counts(self):
-        q = LockFreeQueue()
+        q = self.queue_cls()
         for i in range(5):
             q.enqueue(i)
         assert q.approx_len() == 5
@@ -105,11 +129,15 @@ class TestApproxLen:
         assert q.approx_len() == 3
 
     def test_bounded_variant(self):
-        q = LockFreeQueue(capacity=8)
+        q = self.queue_cls(capacity=8)
         for i in range(5):
             q.enqueue(i)
         q.dequeue()
         assert q.approx_len() == 4
+
+
+class TestApproxLenRowFifo(TestApproxLen):
+    queue_cls = RowFifo
 
 
 # the queue against a deque oracle under arbitrary op sequences
@@ -124,9 +152,13 @@ _ops = st.lists(
 
 
 @settings(max_examples=200, deadline=None)
-@given(ops=_ops, capacity=st.one_of(st.none(), st.integers(0, 6)))
-def test_matches_deque_model(ops, capacity):
-    q = LockFreeQueue(capacity=capacity)
+@given(
+    ops=_ops,
+    capacity=st.one_of(st.none(), st.integers(0, 6)),
+    queue_cls=st.sampled_from([LockFreeQueue, RowFifo]),
+)
+def test_matches_deque_model(ops, capacity, queue_cls):
+    q = queue_cls(capacity=capacity)
     model = deque()
     for op, arg in ops:
         if op == "enq":
@@ -144,6 +176,15 @@ def test_matches_deque_model(ops, capacity):
             assert q.drain_up_to(arg) == expected
         assert q.approx_len() == len(model)
     assert drain_all(q) == list(model)
+
+
+def test_requeue_goes_to_the_head_past_capacity():
+    q = RowFifo(capacity=2)
+    q.extend(["c", "d"])
+    q.requeue(["a", "b"])
+    assert q.approx_len() == 4
+    assert q.enqueue("e") is EnqueueResult.BACKPRESSURE
+    assert drain_all(q) == ["a", "b", "c", "d"]
 
 
 class TestReuseHazard:

@@ -1,5 +1,5 @@
-"""Line parsing: accepted rows round-trip, bad rows get the first
-applicable rejection reason and never an exception."""
+"""Line parsing: accepted rows keep their line verbatim, bad rows get
+the first applicable rejection reason and never an exception."""
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +37,59 @@ class TestHappyPath:
         assert again.device_id == rec.device_id
         assert again.timestamp == rec.timestamp
         assert again.values == rec.values
+
+
+class TestStrictSpelling:
+    """Accepted lines are forwarded byte for byte, so a value must be
+    spelled as a plain ASCII literal, not just be something ``int()``
+    or ``float()`` would take."""
+
+    @pytest.mark.parametrize("ts", ["0", "1700000000000000", "007"])
+    def test_timestamp_accepted(self, ts):
+        assert isinstance(parse_record(f"d,{ts},1.5,7", SCHEMA), Record)
+
+    @pytest.mark.parametrize(
+        "ts", ["", "+5", "-0", " 5", "5 ", "1_000", "1e3", "5.0", "\u0665"]
+    )
+    def test_timestamp_rejected(self, ts):
+        err = parse_record(f"d,{ts},1.5,7", SCHEMA)
+        assert err.reason is RejectReason.BAD_TIMESTAMP
+
+    @pytest.mark.parametrize("value", ["7", "-7", "+7", "007", "0"])
+    def test_int_accepted(self, value):
+        assert isinstance(parse_record(f"d,1,1.5,{value}", SCHEMA), Record)
+
+    @pytest.mark.parametrize(
+        "value", ["", "1_000", " 7", "7 ", "+", "1e3", "1.0", "0x10", "\u0663"]
+    )
+    def test_int_rejected(self, value):
+        assert parse_record(f"d,1,1.5,{value}", SCHEMA).reason is RejectReason.TYPE
+
+    @pytest.mark.parametrize(
+        "value", ["3.50", "-2", "+.5", "5.", "1e3", "-2.5E-3", "1e-999", "-0.0"]
+    )
+    def test_float_accepted(self, value):
+        assert isinstance(parse_record(f"d,1,{value},7", SCHEMA), Record)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["", "nan", "NaN", "inf", "-Infinity", "1e999", "1_000.5", " 3.5", "3.5 ",
+         ".", "e3", "1e", "0x1p3", "\u0663.5"],
+    )
+    def test_float_rejected(self, value):
+        assert parse_record(f"d,1,{value},7", SCHEMA).reason is RejectReason.TYPE
+
+    def test_str_column_takes_any_field(self):
+        schema = Schema.parse_spec("tag:str")
+        for value in ["", " x ", "nan", "1_000"]:
+            rec = parse_record(f"d,1,{value}", schema)
+            assert rec.values == (value,)
+
+    def test_accepted_line_is_kept_verbatim(self):
+        line = "d1,0005,+.50E+1,+007"
+        rec = parse_record(line, SCHEMA)
+        assert rec.line == rec.to_line() == line
+        assert (rec.timestamp, rec.values) == (5, (5.0, 7))
 
 
 class TestRejections:
