@@ -10,8 +10,9 @@ aborts the segment transaction (nothing became visible) and the
 retained rows go back into the pipeline, so no record is silently lost
 and none is committed twice. The scheduler tick runs as its own
 task and talks to slots through per-slot command queues; slots report
-phase changes back by mutating the shared scheduler state, which is
-safe because everything lives on one loop.
+their progress to the shared scheduler state, which alone records
+which slots are live and marked, and is safe to share because
+everything lives on one loop.
 """
 
 from __future__ import annotations
@@ -20,20 +21,17 @@ import asyncio
 import uuid
 from dataclasses import dataclass, field
 
-from .clock import WallClock
 from .config import GatewayConfig
-from .ingest import IngestServer
+from .ingest import IngestServer, monotonic_us
 from .metrics import Counters
 from .pipeline import RowFifo
 from .records import Record
 from .scheduler import (
     AbortSlot,
     ActivateSlot,
-    DecisionLog,
     DispatchSender,
     SchedulerState,
     TimingParams,
-    logged_tick,
     tick,
     tick_interval_us,
 )
@@ -46,6 +44,20 @@ SEND_POLL_US = 1000
 
 class SlotProtocolError(RuntimeError):
     pass
+
+
+async def _read_reply(reader: asyncio.StreamReader, verb: str, txn: str) -> int:
+    """Read a segment's ``READY <txn>`` or ``COMMITTED <txn> <n>`` reply
+    and return n (0 for READY). Any other frame is a protocol error."""
+    raw = b""
+    try:
+        raw = await reader.readline()
+        frame = raw.decode().split()
+        if frame[:2] == [verb, txn]:
+            return int(frame[2]) if verb == "COMMITTED" else 0
+    except (ValueError, IndexError):
+        pass  # over the line limit, not UTF-8, or no integer count
+    raise SlotProtocolError(f"expected {verb} {txn}, got {raw[:80]!r}")
 
 
 @dataclass
@@ -74,35 +86,34 @@ class SlotRunner:
     # landed) and must not be re-enqueued
     eof_attempted: set = field(default_factory=set)
     task: asyncio.Task | None = None
-    # set when the scheduler has already written this slot off; the
-    # runner must tear down without further state reports
-    doomed: bool = False
 
     async def run(self) -> None:
+        """Cycle until the scheduler retires the slot or a link fails.
+        Whether the slot lives on is read from ``gw.state.slots`` after
+        every wait, since the scheduler retires slots there."""
         gw = self.gateway
+        sid = self.slot.slot_id
         try:
             await self._open_links()
             while True:
                 self.eof_attempted.clear()
-                txn = make_txn_id(gw.nonce, self.slot.slot_id, self.slot.cycle)
+                txn = make_txn_id(gw.nonce, sid, self.slot.cycle)
                 await self._begin_txn(txn)
-                if self.doomed:
-                    self._teardown_doomed()
-                    return
+                if sid not in gw.state.slots:
+                    break  # aborted while connecting
                 self.slot.transition(SlotPhase.WAIT, Initiator.SCHEDULER, gw.now(), txn)
-                gw.state.note_ready(self.slot.slot_id, gw.now())
-                if not await self._await_dispatch():
-                    return  # aborted out of Wait
+                gw.state.note_ready(sid, gw.now())
+                await self.commands.get()  # "dispatch", or "abort" out of Wait
+                if sid not in gw.state.slots:
+                    break
                 await self._send_window()
-                committed = await self._commit(txn)
-                if committed is None:
-                    return  # retired at the commit boundary
+                if not await self._commit(txn):
+                    break  # retired at the commit boundary
+            self.slot.transition(SlotPhase.RETIRED, Initiator.SCHEDULER, gw.now())
         except (ConnectionError, OSError, asyncio.IncompleteReadError, SlotProtocolError):
             self._fail()
-        except asyncio.CancelledError:
-            self._close_links()
-            raise
         finally:
+            self._close_links()
             gw.runner_done(self)
 
     # -- phases --------------------------------------------------------
@@ -118,25 +129,8 @@ class SlotRunner:
             link.writer.write(f"BEGIN {txn} {TABLE_NAME}\n".encode())
             await link.writer.drain()
         for link in self.links:
-            frame = (await link.reader.readline()).decode().split()
-            if frame[:2] != ["READY", txn]:
-                raise SlotProtocolError(f"expected READY {txn}, got {frame}")
+            await _read_reply(link.reader, "READY", txn)
         self.gateway.state.observe_ts(self.gateway.now() - start)
-
-    async def _await_dispatch(self) -> bool:
-        while True:
-            cmd = await self.commands.get()
-            if cmd == "dispatch" and not self.doomed:
-                return True
-            if cmd == "abort":
-                self._teardown_doomed()
-                return False
-
-    def _teardown_doomed(self) -> None:
-        # the scheduler already dropped this slot from its registry at
-        # decision time, so only the local side needs cleaning up
-        self.slot.transition(SlotPhase.RETIRED, Initiator.SCHEDULER, self.gateway.now())
-        self._close_links()
 
     async def _send_window(self) -> None:
         gw = self.gateway
@@ -173,58 +167,40 @@ class SlotRunner:
                         raise ConnectionResetError("segment link lost during send")
                 await asyncio.sleep(min(remaining, SEND_POLL_US) / 1_000_000)
 
-    async def _commit(self, txn: str) -> int | None:
+    async def _commit(self, txn: str) -> bool:
+        """Close the send window and commit; returns whether the slot
+        lives on, or False when the scheduler retires it here."""
         gw = self.gateway
+        sid = self.slot.slot_id
         rows = self.batch
         eof_at = gw.now()
         self.slot.batch_rows = rows
         # the one slot-initiated edge: the collection interval is over
         self.slot.transition(SlotPhase.COMMIT, Initiator.SLOT, eof_at)
-        gw.state.note_send_ended(self.slot.slot_id, rows, eof_at)
-        if self.slot.marked_for_abort:
-            if rows > 0:
-                # the idle-cycle premise is void: the batch moved data
-                self.slot.marked_for_abort = False
-                gw.state.cancel_mark(self.slot.slot_id)
-            else:
-                # no data this cycle: drop the empty transaction
-                # instead of paying its commit cost
-                self._retire_marked()
-                return None
+        if gw.state.note_send_ended(sid, rows, eof_at):
+            return False  # the empty transaction is dropped, not committed
         for idx, link in enumerate(self.links):
             self.eof_attempted.add(idx)
             link.writer.write(b"EOF\n")
             await link.writer.drain()
         total = 0
         for link in self.links:
-            frame = (await link.reader.readline()).decode().split()
-            if frame[:2] != ["COMMITTED", txn]:
-                raise SlotProtocolError(f"expected COMMITTED {txn}, got {frame}")
-            total += int(frame[2])
+            total += await _read_reply(link.reader, "COMMITTED", txn)
         if total != rows:
             raise SlotProtocolError(f"committed {total} of {rows} rows of {txn}")
         ack_at = gw.now()
         gw.state.observe_tc(ack_at - eof_at)
-        gw.state.note_commit_acked(self.slot.slot_id, ack_at)
+        retired = gw.state.note_commit_acked(sid, ack_at)
         gw.counters.add("rows_committed", rows)
         gw.counters.set_gauge("last_commit_ms", ack_at // 1000)
         self.batch = 0
         self.sent = []
-        if self.slot.marked_for_abort:
-            self._retire_marked()
-            return None
+        if retired:
+            return False
         self.slot.transition(SlotPhase.CONNECT, Initiator.SCHEDULER, ack_at)
-        return rows
+        return True
 
     # -- teardown ------------------------------------------------------
-
-    def _retire_marked(self) -> None:
-        # only reached with nothing retained: an empty batch, or one
-        # whose commit was acked
-        gw = self.gateway
-        self.slot.transition(SlotPhase.RETIRED, Initiator.SCHEDULER, gw.now())
-        self._close_links()
-        gw.state.note_retired(self.slot.slot_id, gw.now())
 
     def _fail(self) -> None:
         """Connection or protocol failure. A segment only publishes on
@@ -232,11 +208,7 @@ class SlotRunner:
         back to the pipeline; rows past an EOF attempt might already be
         committed there, and re-sending them would duplicate."""
         gw = self.gateway
-        if not self.slot.retired:
-            self.slot.transition(SlotPhase.RETIRED, Initiator.FAILURE, gw.now())
-            if not self.doomed:
-                gw.state.note_retired(self.slot.slot_id, gw.now())
-        self._close_links()
+        self.slot.transition(SlotPhase.RETIRED, Initiator.FAILURE, gw.now())
         # a row's line holds no newline, and every blob ends with one
         safe = [
             Record(line[: line.index(",")], line, -1, gw.schema)
@@ -261,9 +233,8 @@ class Gateway:
     """Owns the pipeline, the ingest server, the slot pool, and the
     scheduler tick task."""
 
-    def __init__(self, config: GatewayConfig, *, keep_decision_log: bool = False) -> None:
+    def __init__(self, config: GatewayConfig) -> None:
         self.config = config
-        self.clock = WallClock()
         self.queue = RowFifo(capacity=config.queue_capacity)
         self.schema = config.schema_obj()
         self.counters = Counters()
@@ -274,8 +245,7 @@ class Gateway:
             dispatch_cycle_us=config.dispatch_cycle_ms * 1000,
             max_slots=config.max_slots,
         )
-        self.decision_log = DecisionLog() if keep_decision_log else None
-        self.state = SchedulerState(params, log=self.decision_log)
+        self.state = SchedulerState(params)
         self.nonce = uuid.uuid4().hex[:8]
         host, port = config.listen_host_port()
         self.ingest = IngestServer(self.queue, self.schema, self.counters, host, port)
@@ -285,7 +255,7 @@ class Gateway:
         self._running = False
 
     def now(self) -> int:
-        return self.clock.now_us()
+        return monotonic_us()
 
     @property
     def ingest_port(self) -> int:
@@ -339,11 +309,7 @@ class Gateway:
         while self._running:
             now = self.now()
             nonempty = self.queue.approx_len() > 0
-            if self.decision_log is not None:
-                actions = logged_tick(self.state, now, nonempty)
-            else:
-                actions = tick(self.state, now, nonempty)
-            for action in actions:
+            for action in tick(self.state, now, nonempty):
                 if isinstance(action, ActivateSlot):
                     self._activate(now)
                 elif isinstance(action, DispatchSender):
@@ -352,8 +318,10 @@ class Gateway:
                     # second sender
                     self.state.note_dispatched(action.slot_id, now)
                     self._command(action.slot_id, "dispatch")
-                elif isinstance(action, AbortSlot):
-                    self._apply_abort(action, now)
+                elif isinstance(action, AbortSlot) and not action.deferred:
+                    # tick retired it already: wake the runner to tear
+                    # down its side
+                    self._command(action.slot_id, "abort")
             await asyncio.sleep(interval_s)
 
     def _activate(self, now: int) -> None:
@@ -372,24 +340,14 @@ class Gateway:
         if runner is not None:
             runner.commands.put_nowait(cmd)
 
-    def _apply_abort(self, action: AbortSlot, now: int) -> None:
-        runner = self.runners.get(action.slot_id)
-        if runner is None:
-            return
-        if action.deferred:
-            if not runner.slot.marked_for_abort:
-                runner.slot.marked_for_abort = True
-                self.state.note_marked(action.slot_id)
-        elif not runner.doomed:
-            # retire in scheduler state immediately so later ticks
-            # cannot dispatch or re-abort it; the runner cleans up its
-            # own sockets when it sees the command
-            runner.doomed = True
-            self.state.note_retired(action.slot_id, now)
-            self._command(action.slot_id, "abort")
-
     def runner_done(self, runner: SlotRunner) -> None:
+        """The one exit of every slot task. The state still lists the
+        slot only when no scheduler decision ended it (a failure, an
+        unforeseen exception, or shutdown), so it is retired here and
+        no slot stays listed without a task to drive it."""
         sid = runner.slot.slot_id
+        if sid in self.state.slots:
+            self.state.note_retired(sid, self.now())
         if self.runners.pop(sid, None) is not None:
             self.counters.set_gauge("active_slots", len(self.runners))
             if self._running:

@@ -2,8 +2,9 @@
 
 The HTTP layer is a deliberately small hand-rolled HTTP/1.1 server on
 asyncio streams (persistent connections, Content-Length bodies only:
-a malformed length is answered 400 and any Transfer-Encoding 411, and
-either closes the connection). Three routes:
+a malformed length, or a request or header line that is not UTF-8
+or runs past the 64 KiB stream limit, is answered 400 and any
+Transfer-Encoding 411, and each closes the connection). Three routes:
 
     POST /ingest   body: CSV lines -> JSON {accepted, rejected,
                    backpressured}; status 429 when anything was
@@ -48,7 +49,7 @@ class IngestReport:
         )
 
 
-def _now_us() -> int:
+def monotonic_us() -> int:
     return time.monotonic_ns() // 1000
 
 
@@ -71,7 +72,7 @@ class LineIngestor:
         schema = self.schema
         enqueue = self.queue.enqueue
         seq = self.next_seq
-        now_us = _now_us()
+        now_us = monotonic_us()
         for line_number, line in enumerate(lines, start=1):
             parsed = parse_record(
                 line, schema, seq=seq, line_number=line_number, now_us=now_us
@@ -109,6 +110,26 @@ def _http_response(
         f"Connection: {conn}\r\n\r\n"
     )
     return head.encode() + body
+
+
+async def _read_head(
+    reader: asyncio.StreamReader,
+) -> tuple[str, str, list[tuple[str, str]]] | None:
+    """Read a request line and its headers, names lowercased; None at a
+    clean end of stream. Raises ValueError for a line over the stream
+    limit, a line that is not UTF-8, or a request line without three
+    parts."""
+    request = await reader.readline()
+    if not request:
+        return None
+    method, path, _ = request.decode().split(" ", 2)
+    headers = []
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            return method, path, headers
+        name, _, value = line.decode().partition(":")
+        headers.append((name.strip().lower(), value.strip()))
 
 
 class IngestServer:
@@ -157,25 +178,19 @@ class IngestServer:
         self._conns.add(writer)
         try:
             while True:
-                request = await reader.readline()
-                if not request:
-                    break
                 try:
-                    method, path, _ = request.decode().split(" ", 2)
+                    head = await _read_head(reader)
                 except ValueError:
                     writer.write(_http_response(400, b"bad request\n", keep_alive=False))
                     await writer.drain()
                     break
+                if head is None:
+                    break
+                method, path, headers = head
                 length = 0
                 keep_alive = True
                 refusal = None
-                while True:
-                    header = await reader.readline()
-                    if header in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = header.decode().partition(":")
-                    name = name.strip().lower()
-                    value = value.strip()
+                for name, value in headers:
                     if name == "content-length":
                         if value.isdigit() and value.isascii():
                             length = int(value)

@@ -21,7 +21,10 @@ instead and converges to the same number:
 
 Abort checks run first within a tick, then dispatch, then growth, so
 the decisions a tick emits are a pure function of (state, now, data
-pending). Both the live engine and the simulator call this exact code.
+pending). ``tick`` records its own abort decisions in the state: an
+immediate abort retires the slot, a deferred one marks it, and the
+mark is resolved when the slot reports its send end or commit ack.
+Both the live engine and the simulator call this exact code.
 """
 
 from __future__ import annotations
@@ -148,11 +151,16 @@ class SlotInfo:
 class SchedulerState:
     """Mutable scheduler bookkeeping, engine-agnostic.
 
-    Engines report slot progress through the ``note_*`` methods and
-    apply the actions ``tick`` returns. Timestamps are microseconds on
-    whatever clock the engine runs. When a DecisionLog is attached,
-    every report is journaled so a run can be replayed against a fresh
-    state to prove the decisions were a pure function of the inputs.
+    The state is the only record of which slots are live, of each
+    slot's phase, and of which slots are marked for a deferred abort.
+    Engines only report progress through the ``note_*`` methods
+    (activated, ready, dispatched, send ended, commit acked, and
+    ``note_retired`` for a failure) and carry out the actions ``tick``
+    returns; ``tick`` and the two reports that resolve a mark retire
+    slots here themselves. Timestamps are microseconds on whatever
+    clock the engine runs. When a DecisionLog is attached, every report
+    is journaled so a run can be replayed against a fresh state to
+    prove the decisions were a pure function of the inputs.
     """
 
     def __init__(self, params: TimingParams, log: "DecisionLog | None" = None) -> None:
@@ -200,35 +208,47 @@ class SchedulerState:
         info.entered_send_once = True
         self.current_sender = slot_id
 
-    def note_send_ended(self, slot_id: int, rows: int, now: int) -> None:
+    def note_send_ended(self, slot_id: int, rows: int, now: int) -> bool:
+        """The slot's send window closed with ``rows`` in its batch.
+
+        Resolves a deferred abort: rows void the idle-cycle premise and
+        clear the mark, while an empty batch retires the slot without
+        paying for its commit. Returns True when the slot was retired.
+        """
         self._journal("note_send_ended", slot_id, rows, now)
         info = self.slots[slot_id]
         info.phase = SlotPhase.COMMIT
         info.sent_rows_this_cycle += rows
         if self.current_sender == slot_id:
             self.current_sender = None
+        if info.marked_for_abort:
+            if rows == 0:
+                self._retire(slot_id)
+                return True
+            info.marked_for_abort = False
+        return False
 
-    def note_commit_acked(self, slot_id: int, now: int) -> None:
+    def note_commit_acked(self, slot_id: int, now: int) -> bool:
+        """The slot's commit landed. A slot still marked retires here;
+        returns True when it was retired."""
         self._journal("note_commit_acked", slot_id, now)
-        self.slots[slot_id].phase = SlotPhase.CONNECT
+        info = self.slots[slot_id]
+        info.phase = SlotPhase.CONNECT
+        if info.marked_for_abort:
+            self._retire(slot_id)
+            return True
+        return False
 
-    def note_retired(self, slot_id: int, now: int, aborted: bool = True) -> None:
-        self._journal("note_retired", slot_id, now, int(aborted))
-        self.slots.pop(slot_id, None)
+    def note_retired(self, slot_id: int, now: int) -> None:
+        """The slot ended outside any scheduler decision, as on a failure."""
+        self._journal("note_retired", slot_id, now)
+        self._retire(slot_id)
+
+    def _retire(self, slot_id: int) -> None:
+        del self.slots[slot_id]
         if self.current_sender == slot_id:
             self.current_sender = None
-        if aborted:
-            self.aborts_total += 1
-
-    def note_marked(self, slot_id: int) -> None:
-        self._journal("note_marked", slot_id)
-        if slot_id in self.slots:
-            self.slots[slot_id].marked_for_abort = True
-
-    def cancel_mark(self, slot_id: int) -> None:
-        self._journal("cancel_mark", slot_id)
-        if slot_id in self.slots:
-            self.slots[slot_id].marked_for_abort = False
+        self.aborts_total += 1
 
     # -- latency estimation -------------------------------------------
 
@@ -254,7 +274,10 @@ class SchedulerState:
 
 def tick(state: SchedulerState, now: int, pipeline_nonempty: bool) -> list[Action]:
     """One scheduling decision round. Emits the abort, dispatch and
-    activation actions the policy set mandates for this instant."""
+    activation actions the policy set mandates for this instant, and
+    records the aborts in ``state`` before returning: an immediate
+    abort is already retired there and a deferred one is marked, so an
+    engine only tears down its side of an aborted slot."""
     params = state.params
     actions: list[Action] = []
 
@@ -265,7 +288,7 @@ def tick(state: SchedulerState, now: int, pipeline_nonempty: bool) -> list[Actio
             # rule 1: a fresh pool starts with a single slot
             return [ActivateSlot()]
 
-    doomed: set[int] = set()  # immediate aborts emitted this tick
+    retiring: set[int] = set()  # immediate aborts emitted this tick
     live = state.slots
 
     # rule 6 at dispatch-cycle boundaries: trim slots that moved no
@@ -281,7 +304,7 @@ def tick(state: SchedulerState, now: int, pipeline_nonempty: bool) -> list[Actio
         ]
         idle.sort(key=lambda info: info.slot_id)
         for info in idle:
-            remaining = len(live) - len(doomed)
+            remaining = len(live) - len(retiring)
             sending = info.phase is SlotPhase.SEND or state.current_sender == info.slot_id
             if remaining <= 1 or sending or info.phase is SlotPhase.COMMIT:
                 # rule 7: the last slot (and any in-flight send or
@@ -289,7 +312,7 @@ def tick(state: SchedulerState, now: int, pipeline_nonempty: bool) -> list[Actio
                 actions.append(AbortSlot(info.slot_id, ABORT_NO_DATA_CYCLE, deferred=True))
             else:
                 actions.append(AbortSlot(info.slot_id, ABORT_NO_DATA_CYCLE))
-                doomed.add(info.slot_id)
+                retiring.add(info.slot_id)
         state.cycle_started_at += (elapsed // params.dispatch_cycle_us) * params.dispatch_cycle_us
         for info in live.values():
             info.sent_rows_this_cycle = 0
@@ -302,26 +325,26 @@ def tick(state: SchedulerState, now: int, pipeline_nonempty: bool) -> list[Actio
         info
         for info in live.values()
         if info.phase is SlotPhase.WAIT
-        and info.slot_id not in doomed
+        and info.slot_id not in retiring
         and not info.marked_for_abort
         and info.wait_entered_at is not None
         and now - info.wait_entered_at > params.t_d_us
     ]
-    if overdue and len(live) - len(doomed) > 1:  # rule 7 guards the last slot
+    if overdue and len(live) - len(retiring) > 1:  # rule 7 guards the last slot
         victim = min(overdue, key=lambda info: (info.wait_entered_at, info.slot_id))
         actions.append(AbortSlot(victim.slot_id, ABORT_IDLE_WAIT))
-        doomed.add(victim.slot_id)
+        retiring.add(victim.slot_id)
 
     # dispatch: hand the send window to the longest-waiting slot
     sender_live = (
-        state.current_sender is not None and state.current_sender not in doomed
+        state.current_sender is not None and state.current_sender not in retiring
     )
     if not sender_live:
         waiting = [
             (info.slot_id, info.wait_entered_at)
             for info in live.values()
             if info.phase is SlotPhase.WAIT
-            and info.slot_id not in doomed
+            and info.slot_id not in retiring
             and info.wait_entered_at is not None
         ]
         if waiting:
@@ -331,7 +354,7 @@ def tick(state: SchedulerState, now: int, pipeline_nonempty: bool) -> list[Actio
     # rule 2 guarded by rules 3 and 4, evaluated after dispatch so a
     # freed waiter takes the window before the pool grows
     if pipeline_nonempty and not sender_live:
-        if len(live) - len(doomed) < params.max_slots:
+        if len(live) - len(retiring) < params.max_slots:
             p3_ok = (
                 state.last_activation_at is None
                 or now - state.last_activation_at >= params.t_d_us
@@ -345,6 +368,13 @@ def tick(state: SchedulerState, now: int, pipeline_nonempty: bool) -> list[Actio
             if p3_ok and p4_ok:
                 actions.append(ActivateSlot())
 
+    # every decision above saw the pool as it was when the tick began
+    for action in actions:
+        if isinstance(action, AbortSlot):
+            if action.deferred:
+                live[action.slot_id].marked_for_abort = True
+            else:
+                state._retire(action.slot_id)
     return actions
 
 

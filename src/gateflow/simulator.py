@@ -230,9 +230,6 @@ class SimTrace:
 class _SimSlot:
     slot_id: int
     phase: SlotPhase = SlotPhase.CONNECT
-    alive: bool = True
-    marked: bool = False
-    mark_reason: str = ""
     connect_started_at: int = 0
     dispatched_at: int = 0
     send_started_at: int = 0
@@ -398,29 +395,21 @@ class _Sim:
         self.push(now + self.t_d, _SEND_END, slot.slot_id)
 
     def apply_abort(self, now: int, action: AbortSlot) -> None:
-        slot = self.slots.get(action.slot_id)
-        if slot is None or not slot.alive:
-            return
+        # tick has already marked or retired the slot in the state
         if action.deferred:
-            slot.marked = True
-            slot.mark_reason = action.reason
-            self.state.note_marked(slot.slot_id)
-            self.emit(now, "marked", slot.slot_id, 0, action.reason)
+            self.emit(now, "marked", action.slot_id, 0, action.reason)
         else:
-            self.retire(now, slot, action.reason)
+            self.retire(now, action.slot_id, action.reason)
 
-    def retire(self, now: int, slot: _SimSlot, reason: str) -> None:
-        slot.alive = False
-        slot.phase = SlotPhase.RETIRED
-        if self.drainer == slot.slot_id:
-            self.drainer = None
-        self.state.note_retired(slot.slot_id, now)
-        del self.slots[slot.slot_id]
-        self.emit(now, "retired", slot.slot_id, 0, reason)
+    def retire(self, now: int, sid: int, reason: str) -> None:
+        # the state retired the slot already; events still queued for
+        # it find no slot and are dropped
+        del self.slots[sid]
+        self.emit(now, "retired", sid, 0, reason)
 
     def on_connect_done(self, now: int, sid: int) -> None:
         slot = self.slots.get(sid)
-        if slot is None or not slot.alive or slot.phase is not SlotPhase.CONNECT:
+        if slot is None or slot.phase is not SlotPhase.CONNECT:
             return
         slot.phase = SlotPhase.WAIT
         self.state.note_ready(sid, now)
@@ -429,38 +418,35 @@ class _Sim:
 
     def on_ready_after_dispatch(self, now: int, sid: int) -> None:
         slot = self.slots.get(sid)
-        if slot is None or not slot.alive:
+        if slot is None:
             return
         self.state.observe_ts(now - slot.dispatched_at)
         self.start_streaming(now, slot)
 
     def on_send_end(self, now: int, sid: int) -> None:
         slot = self.slots.get(sid)
-        if slot is None or not slot.alive:
+        if slot is None:
             return
         self.materialize(now)
         if self.drainer == sid:
             self.drainer = None
         slot.send_ended_at = now
         rows = slot.batch_rows
-        self.state.note_send_ended(sid, rows, now)
+        marked = self.state.slots[sid].marked_for_abort
+        retired = self.state.note_send_ended(sid, rows, now)
         self.emit(now, "send_end", sid, rows)
-        if slot.marked and slot.mark_reason == ABORT_NO_DATA_CYCLE and rows > 0:
-            # the idle-cycle premise is void: the batch moved data
-            slot.marked = False
-            slot.mark_reason = ""
-            self.state.cancel_mark(sid)
-            self.emit(now, "mark_cancelled", sid)
-        if slot.marked and rows == 0:
-            # retire without committing the empty transaction
-            self.retire(now, slot, slot.mark_reason)
+        if retired:
+            # rule 6 is the only deferred abort
+            self.retire(now, sid, ABORT_NO_DATA_CYCLE)
             return
+        if marked:
+            self.emit(now, "mark_cancelled", sid)
         slot.phase = SlotPhase.COMMIT
         self.push(now + self.commit_us(rows), _COMMIT_DONE, sid)
 
     def on_commit_done(self, now: int, sid: int) -> None:
         slot = self.slots.get(sid)
-        if slot is None or not slot.alive:
+        if slot is None:
             return
         rows = slot.batch_rows
         self.committed += rows
@@ -477,11 +463,9 @@ class _Sim:
         )
         self.emit(now, "commit", sid, rows)
         slot.batch_rows = 0
-        if slot.marked:
-            self.state.note_commit_acked(sid, now)
-            self.retire(now, slot, slot.mark_reason)
+        if self.state.note_commit_acked(sid, now):
+            self.retire(now, sid, ABORT_NO_DATA_CYCLE)
             return
-        self.state.note_commit_acked(sid, now)
         if self.gate:
             slot.phase = SlotPhase.CONNECT
             slot.connect_started_at = now

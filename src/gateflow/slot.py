@@ -75,7 +75,6 @@ class Slot:
     send_started_at: int | None = None
     batch_rows: int = 0
     cycle: int = 0
-    marked_for_abort: bool = False
     history: list[Transition] = field(default_factory=list)
 
     def transition(

@@ -2,8 +2,11 @@
 single-sender windows, pool drain, and failure recovery."""
 
 import asyncio
+import gc
 import json
 from contextlib import asynccontextmanager
+
+import pytest
 
 from gateflow.config import GatewayConfig, SegmentConfig
 from gateflow.gateway import Gateway, SlotRunner
@@ -278,13 +281,27 @@ class TestFailureRecovery:
 
         asyncio.run(go())
 
-    def test_protocol_error_peer_cannot_wedge_the_gateway(self):
-        # a peer that answers EOF with an ERROR frame costs the slot,
-        # never the gateway
+    @pytest.mark.parametrize(
+        "begin_reply, eof_reply",
+        [
+            pytest.param(b"READY {txn}", b"ERROR {txn} protocol-order", id="ERROR"),
+            pytest.param(b"READY \xff\xfe", None, id="READY-not-utf8"),
+            pytest.param(b"READY {txn}", b"COMMITTED {txn}", id="COMMITTED-no-count"),
+        ],
+    )
+    def test_protocol_error_peer_cannot_wedge_the_gateway(self, begin_reply, eof_reply):
+        # a peer that answers with a frame the protocol does not allow
+        # costs the slot, never the gateway: the slot retires on a
+        # FAILURE edge and the pool activates a replacement
         async def go():
+            loop_errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: loop_errors.append(context)
+            )
+
             async def hostile(reader, writer):
                 buf = b""
-                txn = "-"
+                txn = b"-"
                 try:
                     while True:
                         chunk = await reader.read(4096)
@@ -292,19 +309,20 @@ class TestFailureRecovery:
                             break
                         buf += chunk
                         *lines, buf = buf.split(b"\n")
-                        for raw in lines:
-                            line = raw.decode()
-                            if line.startswith("BEGIN "):
+                        for line in lines:
+                            if line.startswith(b"BEGIN "):
                                 txn = line.split()[1]
-                                writer.write(f"READY {txn}\n".encode())
-                                await writer.drain()
-                            elif line == "EOF":
-                                writer.write(
-                                    f"ERROR {txn} protocol-order\n".encode()
-                                )
-                                await writer.drain()
+                                reply = begin_reply
+                            elif line == b"EOF":
+                                reply = eof_reply
+                            else:
+                                continue
+                            writer.write(reply.replace(b"{txn}", txn) + b"\n")
+                            await writer.drain()
                 except (ConnectionError, OSError):
                     pass
+                finally:
+                    writer.close()
 
             server = await asyncio.start_server(hostile, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
@@ -318,26 +336,37 @@ class TestFailureRecovery:
             )
             gw = Gateway(config)
             await gw.start()
+
+            async def wait_for(cond):
+                for _ in range(300):
+                    # every slot the scheduler lists has a task driving it
+                    assert set(gw.state.slots) == set(gw.runners)
+                    if cond():
+                        return
+                    await asyncio.sleep(0.01)
+                raise AssertionError("timed out")
+
+            def failures():
+                return [
+                    tr
+                    for tr in gw.transitions()
+                    if tr.initiator is Initiator.FAILURE and tr.dst is SlotPhase.RETIRED
+                ]
+
             try:
                 status, report = await post_lines(gw.ingest_port, lines_for(range(20)))
                 assert status == 200 and report["accepted"] == 20
-                for _ in range(200):
-                    if gw.counters.snapshot()["slots_aborted_total"] >= 1:
-                        break
-                    await asyncio.sleep(0.01)
+                await wait_for(failures)
+                # the front door is still answering, and rows waiting
+                # there get a replacement slot
+                status, _ = await post_lines(gw.ingest_port, ["devX,1,9999"])
+                assert status == 200
+                await wait_for(lambda: gw.state.activations_total >= 2)
                 snap = gw.counters.snapshot()
                 assert snap["slots_aborted_total"] >= 1
                 assert snap["rows_committed"] == 0
-                failures = [
-                    tr
-                    for tr in gw.transitions()
-                    if tr.initiator is Initiator.FAILURE
-                    and tr.dst is SlotPhase.RETIRED
-                ]
-                assert failures
-                # the front door is still answering
-                status, _ = await post_lines(gw.ingest_port, ["devX,1,9999"])
-                assert status == 200
+                gc.collect()  # a lost task exception is reported when freed
+                assert loop_errors == []
             finally:
                 await gw.stop()
                 server.close()
@@ -374,6 +403,7 @@ class TestRetainedBatch:
         gw.queue.enqueue(later)
 
         runner._fail()
+        gw.runner_done(runner)  # the task's exit, which retires the slot
 
         requeued = gw.queue.drain_up_to(100)
         assert [r.line for r in requeued] == [

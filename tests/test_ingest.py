@@ -168,6 +168,11 @@ async def server(capacity=None):
         await srv.stop()
 
 
+def _head(header, target=b"/ingest"):
+    """A POST head to ``target`` with one extra header line."""
+    return b"POST " + target + b" HTTP/1.1\r\nHost: t\r\n" + header + b"\r\n\r\n"
+
+
 class TestHttpServer:
     def test_healthz(self):
         async def go():
@@ -297,21 +302,28 @@ class TestHttpServer:
         asyncio.run(go())
 
     @pytest.mark.parametrize(
-        "header, status",
+        "head, status",
         [
-            ("Content-Length: abc", 400),
-            ("Content-Length: -3", 400),
-            ("Transfer-Encoding: chunked", 411),
+            pytest.param(_head(b"Content-Length: abc"), 400, id="Content-Length: abc-400"),
+            pytest.param(_head(b"Content-Length: -3"), 400, id="Content-Length: -3-400"),
+            pytest.param(
+                _head(b"Transfer-Encoding: chunked"), 411, id="Transfer-Encoding: chunked-411"
+            ),
+            # lines the server cannot read at all
+            pytest.param(_head(b"X-Note: \xff\xfe"), 400, id="non-utf8-header-400"),
+            pytest.param(_head(b"X-Pad: " + b"a" * 70_000), 400, id="header-over-64k-400"),
+            pytest.param(
+                _head(b"X-Note: 1", target=b"/" + b"a" * 70_000),
+                400,
+                id="request-line-over-64k-400",
+            ),
         ],
     )
-    def test_unframable_body_refused_and_closed(self, header, status):
+    def test_unframable_body_refused_and_closed(self, head, status):
         async def go():
             async with server() as (srv, queue, _):
                 c = await Http.connect(srv.bound_port)
-                c.writer.write(
-                    f"POST /ingest HTTP/1.1\r\nHost: t\r\n{header}\r\n\r\n"
-                    "3\r\ndev1,1,0.5\r\n0\r\n\r\n".encode()
-                )
+                c.writer.write(head + b"3\r\ndev1,1,0.5\r\n0\r\n\r\n")
                 await c.writer.drain()
                 status_line = await c.reader.readline()
                 assert int(status_line.split(b" ")[1]) == status

@@ -396,6 +396,66 @@ class TestIdleCycleTrim:
         ]
 
 
+class TestAbortBookkeeping:
+    """tick records its own aborts; send end and commit ack resolve a
+    deferred one."""
+
+    def marked_sender(self):
+        # a lone sender in flight at the cycle boundary gets a mark
+        st_ = mk_state(cycle_ms=1000)
+        a = st_.note_activated(0)
+        tick(st_, 0, False)
+        st_.note_ready(a, 900 * MS)
+        st_.note_dispatched(a, 900 * MS)
+        assert tick(st_, 1000 * MS, False) == [
+            AbortSlot(a, ABORT_NO_DATA_CYCLE, deferred=True)
+        ]
+        assert st_.slots[a].marked_for_abort
+        return st_, a
+
+    def test_immediate_abort_retires_at_decision(self):
+        st_ = mk_state()
+        st_.ticked_once = True
+        a = st_.note_activated(0)
+        b = st_.note_activated(0)
+        st_.note_ready(a, 0)
+        st_.note_dispatched(a, 10 * MS)
+        st_.note_ready(b, 20 * MS)
+        assert tick(st_, 121 * MS, False) == [AbortSlot(b, ABORT_IDLE_WAIT)]
+        assert set(st_.slots) == {a} and st_.aborts_total == 1
+
+    def test_rows_cancel_the_mark(self):
+        st_, a = self.marked_sender()
+        assert st_.note_send_ended(a, 5, 1000 * MS) is False
+        assert not st_.slots[a].marked_for_abort
+        assert st_.note_commit_acked(a, 1100 * MS) is False
+        assert a in st_.slots and st_.aborts_total == 0
+
+    def test_empty_batch_retires_at_send_end(self):
+        st_, a = self.marked_sender()
+        assert st_.note_send_ended(a, 0, 1000 * MS) is True
+        assert a not in st_.slots and st_.current_sender is None
+        assert st_.aborts_total == 1
+
+    def test_mark_taken_in_commit_retires_at_ack(self):
+        st_ = mk_state(cycle_ms=1000)
+        a = st_.note_activated(0)
+        tick(st_, 0, False)
+        st_.note_ready(a, 900 * MS)
+        st_.note_dispatched(a, 900 * MS)
+        st_.note_send_ended(a, 0, 950 * MS)  # rows from the old cycle only
+        tick(st_, 1000 * MS, False)
+        assert st_.slots[a].marked_for_abort
+        assert st_.note_commit_acked(a, 1050 * MS) is True
+        assert a not in st_.slots and st_.aborts_total == 1
+
+    def test_failure_retires_through_note_retired(self):
+        st_, a = self.marked_sender()
+        st_.note_retired(a, 1010 * MS)
+        assert a not in st_.slots and st_.current_sender is None
+        assert st_.aborts_total == 1
+
+
 class TestDecisionReplay:
     def test_replay_reproduces_actions(self):
         log = DecisionLog()

@@ -3,11 +3,13 @@ flow-step adaptations, drain and loss-safety behavior, strategy
 comparison, timeline rendering, and decision replay."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from gateflow.scheduler import (
     ABORT_IDLE_WAIT,
+    ABORT_NO_DATA_CYCLE,
     Strategy,
     TimingParams,
     optimal_slots,
@@ -353,3 +355,48 @@ class TestDecisionReplayParity:
             TimingParams(t_d_us=100 * 1000, dispatch_cycle_us=10_000 * 1000)
         )
         assert ticks == 6001
+
+
+# trace digests of the grid below: any change to the decisions of the
+# shared tick, or to how the simulator reports to it, changes them
+PINNED_DIGESTS = {
+    ("gate", False, 200): "6ba88e96dfb5ebc2c63b76c3f5bfbc4d69a2325cb59e0dc138c138f42a1680fc",
+    ("gate", False, 500): "6f0a18c7a31e0573fb95e6ee7685746fada627442421c5ae7d6697ac1f2b2ce0",
+    ("gate", True, 200): "7954eef13e9ed3f50d01e17df58a4d76991b22906876edcfcc7f5917f6098272",
+    ("gate", True, 500): "ec3d66140f15c1e3f072df572b4f2013e6aa873a41575a4998f138bdb4fa2df0",
+    ("naive", False, 200): "47b17e2f8084308537328a53f83d87c5aefeb9050f7880eb5351094108808355",
+    ("naive", False, 500): "c1a84152301a699f98fc1c75ae9d55db94905d96a601e67d94e109e774bd237e",
+    ("naive", True, 200): "eeb1d737136ce7cafaa446f5aa907831287dc763b76065c4f5e483b19bf86cd3",
+    ("naive", True, 500): "0b7cffd1a2ce04675f55b61b107f251bb88db010d920ef55fc971aa5fced1907",
+}
+
+
+class TestPinnedDecisions:
+    def test_grid_traces_match_pinned_digests(self):
+        # a rate step down (idle-wait trims), a silent stretch and a
+        # trickle, under dispatch cycles short enough for rule 6 to
+        # mark, cancel and retire slots many times
+        kinds = Counter()
+        for (strategy, poisson, cycle_ms), digest in PINNED_DIGESTS.items():
+            cfg = SimConfig(
+                t_d_ms=100,
+                t_s_ms=50,
+                commit_fixed_ms=50,
+                commit_per_row_us=1000,
+                tick_ms=1,
+                arrival=((0, 1500), (700, 400), (1300, 0), (1900, 40)),
+                duration_ms=3000,
+                dispatch_cycle_ms=cycle_ms,
+                strategy=Strategy(strategy),
+                poisson=poisson,
+                seed=3,
+            )
+            trace = run_sim(cfg)
+            assert trace.digest() == digest, (strategy, poisson, cycle_ms)
+            trace.decision_log.replay(
+                TimingParams(t_d_us=100 * 1000, dispatch_cycle_us=cycle_ms * 1000)
+            )
+            kinds.update(e.kind for e in trace.events)
+            kinds.update(f"retired:{e.reason}" for e in trace.events if e.kind == "retired")
+        assert kinds["marked"] and kinds["mark_cancelled"]
+        assert kinds[f"retired:{ABORT_IDLE_WAIT}"] and kinds[f"retired:{ABORT_NO_DATA_CYCLE}"]
