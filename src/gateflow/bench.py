@@ -13,13 +13,14 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from dataclasses import replace
 from typing import Any
 
 from .config import GatewayConfig, SegmentConfig
 from .gateway import Gateway
 from .loadgen import run_loadgen
 from .metrics import IngestionRun, ingestion_speed, scalability
-from .segment import SegmentDaemon
+from .segment import start_cluster
 
 SCENARIO_DEFAULTS = {
     "nodes": [1, 2],
@@ -55,9 +56,8 @@ def load_scenario(data: dict[str, Any]) -> dict[str, Any]:
 
 
 async def _bench_one(n: int, scenario: dict[str, Any]) -> dict[str, Any]:
-    daemons: list[SegmentDaemon] = []
-    for i in range(n):
-        spec = SegmentConfig(
+    daemons = await start_cluster([
+        SegmentConfig(
             id=f"seg{i}",
             host="127.0.0.1",
             port=0,
@@ -65,20 +65,9 @@ async def _bench_one(n: int, scenario: dict[str, Any]) -> dict[str, Any]:
             commit_fixed_ms=scenario["commit_fixed_ms"],
             commit_per_row_us=scenario["commit_per_row_us"],
         )
-        daemon = SegmentDaemon(spec)
-        await daemon.start()
-        daemons.append(daemon)
-    bound = tuple(
-        SegmentConfig(
-            id=d.spec.id,
-            host=d.spec.host,
-            port=d.bound_port,
-            begin_latency_ms=d.spec.begin_latency_ms,
-            commit_fixed_ms=d.spec.commit_fixed_ms,
-            commit_per_row_us=d.spec.commit_per_row_us,
-        )
-        for d in daemons
-    )
+        for i in range(n)
+    ])
+    bound = tuple(replace(d.spec, port=d.bound_port) for d in daemons)
     config = GatewayConfig(
         segments=bound,
         listen_addr="127.0.0.1:0",

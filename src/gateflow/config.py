@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import yaml
@@ -40,14 +40,7 @@ class SegmentConfig:
             raise ValueError(f"segment {self.id}: latencies must be non-negative")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "host": self.host,
-            "port": self.port,
-            "begin_latency_ms": self.begin_latency_ms,
-            "commit_fixed_ms": self.commit_fixed_ms,
-            "commit_per_row_us": self.commit_per_row_us,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -98,16 +91,7 @@ class GatewayConfig:
         return host, int(port)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "listen_addr": self.listen_addr,
-            "schema": self.schema,
-            "interval_ms": self.interval_ms,
-            "dispatch_cycle_ms": self.dispatch_cycle_ms,
-            "max_slots": self.max_slots,
-            "queue_capacity": self.queue_capacity,
-            "listeners": self.listeners,
-            "segments": [seg.to_dict() for seg in self.segments],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "GatewayConfig":

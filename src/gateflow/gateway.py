@@ -39,6 +39,7 @@ from .slot import Initiator, Slot, SlotPhase, Transition, make_txn_id, route_rec
 
 TABLE_NAME = "ingest"
 DRAIN_CHUNK = 512
+MAX_BATCH_ROWS = 1_000_000
 SEND_POLL_US = 1000
 
 
@@ -101,7 +102,7 @@ class SlotRunner:
                 await self._begin_txn(txn)
                 if sid not in gw.state.slots:
                     break  # aborted while connecting
-                self.slot.transition(SlotPhase.WAIT, Initiator.SCHEDULER, gw.now(), txn)
+                self.slot.transition(SlotPhase.WAIT, Initiator.SCHEDULER, gw.now())
                 gw.state.note_ready(sid, gw.now())
                 await self.commands.get()  # "dispatch", or "abort" out of Wait
                 if sid not in gw.state.slots:
@@ -143,7 +144,7 @@ class SlotRunner:
             remaining = deadline - gw.now()
             if remaining <= 0:
                 break
-            room = gw.max_batch_rows - self.batch
+            room = MAX_BATCH_ROWS - self.batch
             chunk = gw.queue.drain_up_to(min(DRAIN_CHUNK, room)) if room else []
             if chunk:
                 self.batch += len(chunk)
@@ -174,7 +175,6 @@ class SlotRunner:
         sid = self.slot.slot_id
         rows = self.batch
         eof_at = gw.now()
-        self.slot.batch_rows = rows
         # the one slot-initiated edge: the collection interval is over
         self.slot.transition(SlotPhase.COMMIT, Initiator.SLOT, eof_at)
         if gw.state.note_send_ended(sid, rows, eof_at):
@@ -211,7 +211,7 @@ class SlotRunner:
         self.slot.transition(SlotPhase.RETIRED, Initiator.FAILURE, gw.now())
         # a row's line holds no newline, and every blob ends with one
         safe = [
-            Record(line[: line.index(",")], line, -1, gw.schema)
+            Record(line[: line.index(",")], line, -1)
             for idx, blobs in enumerate(self.sent)
             if idx not in self.eof_attempted
             for blob in blobs
@@ -239,7 +239,6 @@ class Gateway:
         self.schema = config.schema_obj()
         self.counters = Counters()
         self.t_d_us = config.interval_ms * 1000
-        self.max_batch_rows = 1_000_000
         params = TimingParams(
             t_d_us=self.t_d_us,
             dispatch_cycle_us=config.dispatch_cycle_ms * 1000,
@@ -326,8 +325,7 @@ class Gateway:
 
     def _activate(self, now: int) -> None:
         sid = self.state.note_activated(now)
-        slot = Slot(slot_id=sid, segment_count=len(self.config.segments))
-        slot.phase_entered_at = now
+        slot = Slot(slot_id=sid)
         runner = SlotRunner(self, slot)
         runner.task = asyncio.create_task(runner.run())
         self.runners[sid] = runner

@@ -36,24 +36,13 @@ _RAW_TRUNCATE_BYTES = 1024
 
 
 class Record(NamedTuple):
-    """One accepted row: the producer's line, verbatim, plus its
-    device id for routing. ``seq`` is the listener's dense accept
-    number, for audit; a row re-queued after a failed send carries -1.
-    The typed view is decoded on demand against ``schema``."""
+    """One accepted row: its device id for routing, the producer's line
+    verbatim, and ``seq``, the listener's dense accept number, for
+    audit; a row re-queued after a failed send carries -1."""
 
     device_id: str
     line: str
     seq: int
-    schema: "Schema"
-
-    @property
-    def timestamp(self) -> int:
-        return int(self.line.split(",", 2)[1])
-
-    @property
-    def values(self) -> tuple:
-        raw = self.line.split(",")[2:]
-        return tuple(conv(v) for conv, v in zip(self.schema.converters, raw))
 
     def to_line(self) -> str:
         return self.line
@@ -83,12 +72,6 @@ class IngestError:
         return raw[:_RAW_TRUNCATE_BYTES].decode("utf-8", errors="ignore")
 
 
-_CONVERTERS: dict[str, Callable[[str], object]] = {
-    "int": int,
-    "float": float,
-    "str": str,
-}
-
 _INT_MATCH = re.compile(r"[+-]?[0-9]+").fullmatch
 _FLOAT_MATCH = re.compile(
     r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
@@ -99,10 +82,11 @@ def _float_ok(raw: str) -> bool:
     return _FLOAT_MATCH(raw) is not None and isfinite(float(raw))
 
 
-# spelling checks per column kind; ``str`` takes any field
-_CHECKS: dict[str, Callable[[str], object]] = {
+# spelling check per column kind; ``str`` takes any field
+_CHECKS: dict[str, Callable[[str], object] | None] = {
     "int": _INT_MATCH,
     "float": _float_ok,
+    "str": None,
 }
 
 
@@ -113,16 +97,15 @@ class Schema:
         if not columns:
             raise ValueError("schema needs at least one value column")
         for name, kind in columns:
-            if kind not in _CONVERTERS:
+            if kind not in _CHECKS:
                 raise ValueError(f"unknown column type {kind!r} for {name!r}")
             if not name:
                 raise ValueError("empty column name")
         self.columns = list(columns)
-        self.converters = [_CONVERTERS[kind] for _, kind in columns]
         # (field index, check) for every column whose spelling matters
         self.checks = [
             (i, _CHECKS[kind]) for i, (_, kind) in enumerate(columns, start=2)
-            if kind in _CHECKS
+            if _CHECKS[kind] is not None
         ]
         self.field_count = 2 + len(columns)
 
@@ -186,5 +169,5 @@ def parse_record(
                 reason = RejectReason.TYPE
                 break
         else:
-            return Record(device, line, seq, schema)
+            return Record(device, line, seq)
     return IngestError(line_number, IngestError.truncate(line), reason, now_us)

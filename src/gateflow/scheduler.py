@@ -38,7 +38,8 @@ from .slot import SlotPhase
 
 DEFAULT_DISPATCH_CYCLE_MS = 10_000
 DEFAULT_MAX_SLOTS = 64
-DEFAULT_EWMA_WINDOW = 8
+# samples of weight in the t_s / t_c moving averages
+EWMA_WINDOW = 8
 
 ABORT_IDLE_WAIT = "idle-wait"
 ABORT_NO_DATA_CYCLE = "no-data-cycle"
@@ -116,7 +117,6 @@ class TimingParams:
     t_d_us: int
     dispatch_cycle_us: int = DEFAULT_DISPATCH_CYCLE_MS * 1000
     max_slots: int = DEFAULT_MAX_SLOTS
-    ewma_window: int = DEFAULT_EWMA_WINDOW
 
     def __post_init__(self) -> None:
         if self.t_d_us <= 0:
@@ -125,8 +125,6 @@ class TimingParams:
             raise ValueError("dispatch cycle must be at least one interval")
         if self.max_slots < 1:
             raise ValueError("max_slots must be >= 1")
-        if self.ewma_window < 1:
-            raise ValueError("ewma_window must be >= 1")
 
 
 def tick_interval_us(t_d_us: int) -> int:
@@ -261,7 +259,7 @@ class SchedulerState:
     def _ewma(self, est: float | None, sample: int) -> float:
         if est is None:
             return float(sample)
-        return est + (sample - est) / self.params.ewma_window
+        return est + (sample - est) / EWMA_WINDOW
 
     def estimated_optimal(self) -> int | None:
         if self.est_ts_us is None or self.est_tc_us is None:

@@ -57,20 +57,19 @@ class LatencyModel:
 
 class TxnState(str, Enum):
     BEGUN = "begun"
-    STREAMING = "streaming"
-    COMMITTING = "committing"
     COMMITTED = "committed"
     ABORTED = "aborted"
 
 
 @dataclass
 class SegmentTxn:
+    """One transaction a segment has seen: BEGUN while its rows arrive,
+    then COMMITTED on EOF or ABORTED when its connection drops first.
+    ``rows`` holds the received rows until the commit publishes them."""
+
     txn_id: str
-    table: str
-    begun_at: float
     state: TxnState = TxnState.BEGUN
     rows: list[str] = field(default_factory=list)
-    committed_at: float = 0.0
 
 
 class SegmentStore:
@@ -141,7 +140,8 @@ class SegmentDaemon:
         self.store = SegmentStore(spec.id, dump_path)
         self.txns: dict[str, SegmentTxn] = {}
         self._server: asyncio.AbstractServer | None = None
-        self._conns: set[asyncio.StreamWriter] = set()
+        # each open connection's writer and the task serving it
+        self._conns: dict[asyncio.StreamWriter, asyncio.Task] = {}
         # a segment applies one commit at a time, like a single-writer
         # storage engine; transaction starts stay concurrent
         self._commit_lock = asyncio.Lock()
@@ -161,8 +161,12 @@ class SegmentDaemon:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        tasks = list(self._conns.values())
         for writer in list(self._conns):
             writer.close()
+        # a handler left running would be cancelled by the loop's
+        # shutdown, which logs a CancelledError traceback per handler
+        await asyncio.gather(*tasks, return_exceptions=True)
         self.store.close()
 
     async def _serve_connection(
@@ -170,8 +174,7 @@ class SegmentDaemon:
     ) -> None:
         active: SegmentTxn | None = None
         last_txn = "-"
-        loop = asyncio.get_running_loop()
-        self._conns.add(writer)
+        self._conns[writer] = asyncio.current_task()
 
         def reply(text: str) -> None:
             writer.write(text.encode() + b"\n")
@@ -192,7 +195,7 @@ class SegmentDaemon:
                             reply(f"ERROR - {ERR_ORDER}")
                             await writer.drain()
                             continue
-                        txn_id, table = parts[1], parts[2]
+                        txn_id = parts[1]
                         if txn_id in self.txns:
                             reply(f"ERROR {txn_id} {ERR_DUPLICATE}")
                             await writer.drain()
@@ -201,7 +204,7 @@ class SegmentDaemon:
                             reply(f"ERROR {txn_id} {ERR_ORDER}")
                             await writer.drain()
                             continue
-                        txn = SegmentTxn(txn_id, table, loop.time())
+                        txn = SegmentTxn(txn_id)
                         self.txns[txn_id] = txn
                         active = txn
                         last_txn = txn_id
@@ -214,13 +217,11 @@ class SegmentDaemon:
                             await writer.drain()
                             continue
                         txn = active
-                        txn.state = TxnState.COMMITTING
                         n = len(txn.rows)
                         async with self._commit_lock:
                             await asyncio.sleep(self.latency.commit_s(n))
                             self.store.publish(txn.txn_id, txn.rows)
                         txn.state = TxnState.COMMITTED
-                        txn.committed_at = loop.time()
                         txn.rows = []  # the store owns them now
                         active = None
                         reply(f"COMMITTED {txn.txn_id} {n}")
@@ -232,14 +233,13 @@ class SegmentDaemon:
                             await writer.drain()
                             continue
                         active.rows.append(line)
-                        active.state = TxnState.STREAMING
         except (ConnectionError, OSError):
             pass  # peer vanished; the finally block aborts its txn
         finally:
             if active is not None:
                 # dropped mid-transaction: nothing becomes visible
                 active.state = TxnState.ABORTED
-            self._conns.discard(writer)
+            self._conns.pop(writer, None)
             writer.close()
             try:
                 await writer.wait_closed()

@@ -27,7 +27,7 @@ import heapq
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 from .scheduler import (
@@ -101,21 +101,7 @@ class SimConfig:
             raise ValueError("tick_ms must be >= 1")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "t_d_ms": self.t_d_ms,
-            "t_s_ms": self.t_s_ms,
-            "commit_fixed_ms": self.commit_fixed_ms,
-            "commit_per_row_us": self.commit_per_row_us,
-            "arrival": [list(step) for step in self.arrival],
-            "duration_ms": self.duration_ms,
-            "seed": self.seed,
-            "strategy": self.strategy.value,
-            "max_slots": self.max_slots,
-            "dispatch_cycle_ms": self.dispatch_cycle_ms,
-            "tick_ms": self.tick_ms,
-            "initial_slots": self.initial_slots,
-            "poisson": self.poisson,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SimConfig":
@@ -229,7 +215,6 @@ class SimTrace:
 @dataclass
 class _SimSlot:
     slot_id: int
-    phase: SlotPhase = SlotPhase.CONNECT
     connect_started_at: int = 0
     dispatched_at: int = 0
     send_started_at: int = 0
@@ -370,14 +355,12 @@ class _Sim:
         if self.gate:
             self.push(now + self.t_s, _CONNECT_DONE, sid)
         else:
-            slot.phase = SlotPhase.WAIT
             self.state.note_ready(sid, now)
             self.emit(now, "ready", sid)
 
     def apply_dispatch(self, now: int, sid: int) -> None:
         slot = self.slots[sid]
         slot.dispatched_at = now
-        slot.phase = SlotPhase.SEND
         self.state.note_dispatched(sid, now)
         self.emit(now, "dispatched", sid)
         if self.gate:
@@ -409,9 +392,8 @@ class _Sim:
 
     def on_connect_done(self, now: int, sid: int) -> None:
         slot = self.slots.get(sid)
-        if slot is None or slot.phase is not SlotPhase.CONNECT:
+        if slot is None:
             return
-        slot.phase = SlotPhase.WAIT
         self.state.note_ready(sid, now)
         self.state.observe_ts(now - slot.connect_started_at)
         self.emit(now, "ready", sid)
@@ -441,7 +423,6 @@ class _Sim:
             return
         if marked:
             self.emit(now, "mark_cancelled", sid)
-        slot.phase = SlotPhase.COMMIT
         self.push(now + self.commit_us(rows), _COMMIT_DONE, sid)
 
     def on_commit_done(self, now: int, sid: int) -> None:
@@ -467,12 +448,10 @@ class _Sim:
             self.retire(now, sid, ABORT_NO_DATA_CYCLE)
             return
         if self.gate:
-            slot.phase = SlotPhase.CONNECT
             slot.connect_started_at = now
             self.emit(now, "reconnect", sid)
             self.push(now + self.t_s, _CONNECT_DONE, sid)
         else:
-            slot.phase = SlotPhase.WAIT
             self.state.note_ready(sid, now)
             self.emit(now, "ready", sid)
 

@@ -45,9 +45,6 @@ LEGAL_TRANSITIONS: frozenset[tuple[SlotPhase, SlotPhase]] = frozenset(
     }
 )
 
-# phases during which the slot holds an open transaction id
-_TXN_PHASES = frozenset({SlotPhase.WAIT, SlotPhase.SEND, SlotPhase.COMMIT})
-
 
 class PhaseError(RuntimeError):
     """Raised on an illegal phase transition or initiator."""
@@ -64,26 +61,18 @@ class Transition:
 
 @dataclass
 class Slot:
-    """Phase bookkeeping for one slot; no I/O lives here."""
+    """Audit trail of one slot: its phase, its cycle (bumped on every
+    re-entry to Connect, and part of its transaction id) and the history
+    of its transitions with their initiators. No I/O and no timing
+    lives here; the scheduler state owns the wait start and the runner
+    owns the batch."""
 
     slot_id: int
-    segment_count: int
     phase: SlotPhase = SlotPhase.CONNECT
-    txn_id: str | None = None
-    phase_entered_at: int = 0
-    wait_entered_at: int | None = None
-    send_started_at: int | None = None
-    batch_rows: int = 0
     cycle: int = 0
     history: list[Transition] = field(default_factory=list)
 
-    def transition(
-        self,
-        dst: SlotPhase,
-        initiator: Initiator,
-        now: int,
-        txn_id: str | None = None,
-    ) -> Transition:
+    def transition(self, dst: SlotPhase, initiator: Initiator, now: int) -> Transition:
         src = self.phase
         if (src, dst) not in LEGAL_TRANSITIONS:
             raise PhaseError(f"slot {self.slot_id}: illegal transition {src.value} -> {dst.value}")
@@ -93,21 +82,9 @@ class Slot:
         elif initiator is Initiator.SLOT:
             raise PhaseError(f"{src.value} -> {dst.value} may not be slot-initiated")
 
-        if dst is SlotPhase.WAIT:
-            if txn_id is None:
-                raise PhaseError("entering wait requires an open transaction id")
-            self.txn_id = txn_id
-            self.wait_entered_at = now
-        elif dst not in _TXN_PHASES:
-            self.txn_id = None
-        if dst is SlotPhase.SEND:
-            self.send_started_at = now
-            self.batch_rows = 0
         if dst is SlotPhase.CONNECT:
             self.cycle += 1
-
         self.phase = dst
-        self.phase_entered_at = now
         event = Transition(now, self.slot_id, src, dst, initiator)
         self.history.append(event)
         return event

@@ -1,5 +1,7 @@
 """Config parsing, validation, serialization round trips, and hashing."""
 
+from pathlib import Path
+
 import pytest
 
 from gateflow.config import GatewayConfig, SegmentConfig, load_config, parse_config
@@ -67,6 +69,12 @@ class TestParsing:
             listeners=cfg.listeners,
         )
         assert other.config_hash() != cfg.config_hash()
+
+    def test_demo_config_hash_pinned(self):
+        # benchmark reports carry this hash, so the serialization of an
+        # unchanged config may not drift
+        demo = Path(__file__).resolve().parents[1] / "configs" / "demo.yaml"
+        assert load_config(str(demo)).config_hash() == "393fc2c1fb80"
 
     def test_null_queue_capacity_round_trips(self):
         cfg = GatewayConfig(segments=(seg(1),), listeners=1)

@@ -86,6 +86,26 @@ async def live_gateway(
             await d.stop()
 
 
+class TestShutdown:
+    def test_stop_leaves_nothing_for_the_loop_to_cancel(self):
+        # a handler task still running when asyncio.run ends is
+        # cancelled there, and its done-callback reports the
+        # CancelledError to the loop's exception handler
+        seen = []
+
+        async def go():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, ctx: seen.append(ctx)
+            )
+            async with live_gateway(n_segments=2) as (gw, daemons):
+                status, report = await post_lines(gw.ingest_port, lines_for(range(200)))
+                assert (status, report["accepted"]) == (200, 200)
+                assert await gw.quiesce(timeout_s=20)
+
+        asyncio.run(go())
+        assert seen == []
+
+
 class TestEndToEnd:
     def test_exactly_once_with_rejections(self):
         async def go():
@@ -388,8 +408,8 @@ class TestRetainedBatch:
         )
         gw = Gateway(config)
         sid = gw.state.note_activated(0)
-        slot = Slot(slot_id=sid, segment_count=3)
-        slot.transition(SlotPhase.WAIT, Initiator.SCHEDULER, 1, "t")
+        slot = Slot(slot_id=sid)
+        slot.transition(SlotPhase.WAIT, Initiator.SCHEDULER, 1)
         slot.transition(SlotPhase.SEND, Initiator.SCHEDULER, 2)
         runner = SlotRunner(gw, slot)
         runner.sent = [
@@ -399,7 +419,7 @@ class TestRetainedBatch:
         ]
         runner.batch = 7
         runner.eof_attempted = {1}
-        later = Record("z", "z,9,9", 9, gw.schema)
+        later = Record("z", "z,9,9", 9)
         gw.queue.enqueue(later)
 
         runner._fail()

@@ -33,9 +33,8 @@ class TestHandlePost:
         records = ing.queue.drain_up_to(10)
         assert [r.device_id for r in records] == ["dev1", "dev2", "dev3"]
         assert [r.seq for r in records] == [0, 1, 2]
-        # the row keeps the producer's line; the typed view decodes it
-        assert records[0].line == "dev1,1,0.5"
-        assert (records[0].timestamp, records[0].values) == (1, (0.5,))
+        # the row keeps the producer's line
+        assert [r.line for r in records] == ["dev1,1,0.5", "dev2,2,1.5", "dev3,3,2.5"]
 
     def test_malformed_line_skipped_not_fatal(self):
         ing = ingestor()

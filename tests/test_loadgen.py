@@ -87,7 +87,8 @@ class TestSyntheticLines:
         for seq, line in enumerate(lines):
             rec = parse_record(line, schema, seq=0)
             assert rec.device_id == f"dev{seq % 8}"
-            assert rec.values == (seq,)
+            assert rec.line == line
+            assert line.split(",")[2] == str(seq)
 
     def test_start_seq_offsets_the_audit_column(self):
         lines = list(synthetic_lines(3, devices=4, start_seq=10))

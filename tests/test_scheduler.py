@@ -103,8 +103,6 @@ class TestTimingParams:
             TimingParams(t_d_us=100, dispatch_cycle_us=50)
         with pytest.raises(ValueError):
             TimingParams(t_d_us=100, dispatch_cycle_us=100, max_slots=0)
-        with pytest.raises(ValueError):
-            TimingParams(t_d_us=100, dispatch_cycle_us=100, ewma_window=0)
 
     def test_tick_granularity(self):
         assert tick_interval_us(100 * MS) == 10 * MS  # a tenth

@@ -1,5 +1,5 @@
-"""Slot state machine: edge legality, initiator rules, transaction-id
-presence, and the deterministic device routing rule."""
+"""Slot state machine: edge legality, initiator rules, the cycle count,
+and the deterministic device routing rule."""
 
 from zlib import crc32
 
@@ -26,13 +26,12 @@ def walk(slot, dsts):
     now = 0
     for dst in dsts:
         now += 10
-        txn = f"t{now}" if dst is SlotPhase.WAIT else None
-        slot.transition(dst, _initiator_for(slot.phase, dst), now, txn_id=txn)
+        slot.transition(dst, _initiator_for(slot.phase, dst), now)
 
 
 class TestEdges:
     def test_full_loop(self):
-        s = Slot(slot_id=1, segment_count=2)
+        s = Slot(slot_id=1)
         walk(s, [SlotPhase.WAIT, SlotPhase.SEND, SlotPhase.COMMIT, SlotPhase.CONNECT])
         assert s.phase is SlotPhase.CONNECT
         assert s.cycle == 1
@@ -45,24 +44,21 @@ class TestEdges:
         for dst in SlotPhase:
             if (src, dst) in LEGAL_TRANSITIONS:
                 continue
-            s = Slot(slot_id=1, segment_count=1, phase=src)
-            if src in (SlotPhase.WAIT, SlotPhase.SEND, SlotPhase.COMMIT):
-                s.txn_id = "t"
+            s = Slot(slot_id=1, phase=src)
             with pytest.raises(PhaseError):
-                s.transition(dst, _initiator_for(src, dst), 1, txn_id="t2")
+                s.transition(dst, _initiator_for(src, dst), 1)
 
     def test_abort_out_of_wait(self):
-        s = Slot(slot_id=1, segment_count=1)
+        s = Slot(slot_id=1)
         walk(s, [SlotPhase.WAIT])
         s.transition(SlotPhase.RETIRED, Initiator.SCHEDULER, 20)
         assert s.retired
-        assert s.txn_id is None
 
     def test_failure_retirement_from_connect_and_send(self):
-        s = Slot(slot_id=1, segment_count=1)
+        s = Slot(slot_id=1)
         s.transition(SlotPhase.RETIRED, Initiator.FAILURE, 5)
         assert s.retired
-        s2 = Slot(slot_id=2, segment_count=1)
+        s2 = Slot(slot_id=2)
         walk(s2, [SlotPhase.WAIT, SlotPhase.SEND])
         s2.transition(SlotPhase.RETIRED, Initiator.FAILURE, 30)
         assert s2.retired
@@ -70,7 +66,7 @@ class TestEdges:
 
 class TestInitiators:
     def test_send_to_commit_is_slot_only(self):
-        s = Slot(slot_id=1, segment_count=1)
+        s = Slot(slot_id=1)
         walk(s, [SlotPhase.WAIT, SlotPhase.SEND])
         with pytest.raises(PhaseError):
             s.transition(SlotPhase.COMMIT, Initiator.SCHEDULER, 40)
@@ -78,44 +74,16 @@ class TestInitiators:
         assert s.phase is SlotPhase.COMMIT
 
     def test_other_edges_never_slot_initiated(self):
-        s = Slot(slot_id=1, segment_count=1)
+        s = Slot(slot_id=1)
         with pytest.raises(PhaseError):
-            s.transition(SlotPhase.WAIT, Initiator.SLOT, 10, txn_id="t")
+            s.transition(SlotPhase.WAIT, Initiator.SLOT, 10)
 
     def test_history_records_initiators(self):
-        s = Slot(slot_id=1, segment_count=1)
+        s = Slot(slot_id=1)
         walk(s, [SlotPhase.WAIT, SlotPhase.SEND, SlotPhase.COMMIT])
         assert [t.initiator for t in s.history] == [
             Initiator.SCHEDULER, Initiator.SCHEDULER, Initiator.SLOT,
         ]
-
-
-class TestTxnBookkeeping:
-    def test_txn_required_to_wait(self):
-        s = Slot(slot_id=1, segment_count=1)
-        with pytest.raises(PhaseError):
-            s.transition(SlotPhase.WAIT, Initiator.SCHEDULER, 1)
-
-    def test_txn_present_exactly_in_open_phases(self):
-        s = Slot(slot_id=1, segment_count=1)
-        assert s.txn_id is None
-        s.transition(SlotPhase.WAIT, Initiator.SCHEDULER, 1, txn_id="t1")
-        assert s.txn_id == "t1"
-        s.transition(SlotPhase.SEND, Initiator.SCHEDULER, 2)
-        assert s.txn_id == "t1"
-        s.transition(SlotPhase.COMMIT, Initiator.SLOT, 3)
-        assert s.txn_id == "t1"
-        s.transition(SlotPhase.CONNECT, Initiator.SCHEDULER, 4)
-        assert s.txn_id is None
-
-    def test_send_entry_resets_batch_and_stamps(self):
-        s = Slot(slot_id=1, segment_count=1)
-        s.batch_rows = 999
-        walk(s, [SlotPhase.WAIT])
-        s.transition(SlotPhase.SEND, Initiator.SCHEDULER, 50)
-        assert s.batch_rows == 0
-        assert s.send_started_at == 50
-        assert s.wait_entered_at == 10
 
 
 # brute legality model: from any reachable phase, trying every target
@@ -123,12 +91,12 @@ class TestTxnBookkeeping:
 @settings(max_examples=300, deadline=None)
 @given(steps=st.lists(st.sampled_from(list(SlotPhase)), max_size=12))
 def test_random_walk_matches_table(steps):
-    s = Slot(slot_id=1, segment_count=1)
+    s = Slot(slot_id=1)
     for dst in steps:
         src = s.phase
         legal = (src, dst) in LEGAL_TRANSITIONS
         try:
-            s.transition(dst, _initiator_for(src, dst), 1, txn_id="t")
+            s.transition(dst, _initiator_for(src, dst), 1)
         except PhaseError:
             assert not legal
             assert s.phase is src  # failed transitions change nothing
