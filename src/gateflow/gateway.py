@@ -40,7 +40,6 @@ from .slot import Initiator, Slot, SlotPhase, Transition, make_txn_id, route_rec
 TABLE_NAME = "ingest"
 DRAIN_CHUNK = 512
 MAX_BATCH_ROWS = 1_000_000
-SEND_POLL_US = 1000
 
 
 class SlotProtocolError(RuntimeError):
@@ -145,7 +144,11 @@ class SlotRunner:
             if remaining <= 0:
                 break
             room = MAX_BATCH_ROWS - self.batch
-            chunk = gw.queue.drain_up_to(min(DRAIN_CHUNK, room)) if room else []
+            if not room:
+                # the batch is full: hold it to the end of the window
+                await asyncio.sleep(remaining / 1_000_000)
+                continue
+            chunk = gw.queue.drain_up_to(min(DRAIN_CHUNK, room))
             if chunk:
                 self.batch += len(chunk)
                 buffers: list[list[str]] = [[] for _ in range(n_segs)]
@@ -162,11 +165,18 @@ class SlotRunner:
             else:
                 # idle stretch of the window: a segment that hung up is
                 # only visible on the read side, and noticing it now,
-                # before any EOF goes out, keeps the batch re-enqueueable
-                for link in self.links:
-                    if link.reader.at_eof() or link.reader.exception() is not None:
-                        raise ConnectionResetError("segment link lost during send")
-                await asyncio.sleep(min(remaining, SEND_POLL_US) / 1_000_000)
+                # before any EOF goes out, keeps the batch re-enqueueable.
+                # Then sleep until rows arrive or the window ends
+                self._check_links()
+                await gw.queue.wait_nonempty(remaining / 1_000_000)
+        # the last wait may have outlived a link: check once more
+        # before _commit writes EOF
+        self._check_links()
+
+    def _check_links(self) -> None:
+        for link in self.links:
+            if link.reader.at_eof() or link.reader.exception() is not None:
+                raise ConnectionResetError("segment link lost during send")
 
     async def _commit(self, txn: str) -> bool:
         """Close the send window and commit; returns whether the slot
@@ -206,20 +216,27 @@ class SlotRunner:
         """Connection or protocol failure. A segment only publishes on
         EOF, so rows routed to links that never saw an EOF attempt go
         back to the pipeline; rows past an EOF attempt might already be
-        committed there, and re-sending them would duplicate."""
+        committed there, and re-sending them would duplicate, so they
+        are only counted as in doubt."""
         gw = self.gateway
         self.slot.transition(SlotPhase.RETIRED, Initiator.FAILURE, gw.now())
-        # a row's line holds no newline, and every blob ends with one
-        safe = [
-            Record(line[: line.index(",")], line, -1)
-            for idx, blobs in enumerate(self.sent)
-            if idx not in self.eof_attempted
-            for blob in blobs
-            for line in blob.decode().split("\n")[:-1]
-        ]
+        gw.counters.add("slot_failures_total")
+        safe: list[Record] = []
+        in_doubt = 0
+        for idx, blobs in enumerate(self.sent):
+            if idx in self.eof_attempted:
+                # a row's line holds no newline, and every blob ends with one
+                in_doubt += sum(blob.count(b"\n") for blob in blobs)
+            else:
+                safe.extend(
+                    Record(line[: line.index(",")], line, -1)
+                    for blob in blobs
+                    for line in blob.decode().split("\n")[:-1]
+                )
         if safe:
             # ahead of rows accepted later, to keep each device's order
             gw.queue.requeue(safe)
+        gw.counters.add("rows_in_doubt", in_doubt)
         self.batch = 0
         self.sent = []
 

@@ -73,9 +73,11 @@ COUNTER_KEYS = (
     "rows_committed",
     "rows_rejected",
     "rows_backpressured",
+    "rows_in_doubt",
     "active_slots",
     "slots_activated_total",
     "slots_aborted_total",
+    "slot_failures_total",
     "last_commit_ms",
 )
 
@@ -85,7 +87,7 @@ class Counters:
 
     Writers from any thread or task go through one lock; readers take
     plain snapshots, so values are individually current but not
-    mutually consistent. rows_* and slots_*_total only grow;
+    mutually consistent. rows_* and *_total only grow;
     active_slots and last_commit_ms are gauges.
     """
 

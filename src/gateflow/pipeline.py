@@ -1,7 +1,8 @@
 """FIFOs between the ingest listener and the sending slot.
 
 ``RowFifo`` is the live gateway's queue: a deque plus a capacity bound,
-for producers and a consumer that share one asyncio event loop.
+for producers and a consumer that share one asyncio event loop. Its
+one consumer can sleep in ``wait_nonempty`` until a row arrives.
 
 ``LockFreeQueue`` is the reproduced multi-producer multi-consumer
 design, kept as the reference the queue contract is tested against. It
@@ -23,6 +24,7 @@ exact when nothing is in flight.
 
 from __future__ import annotations
 
+import asyncio
 import sys
 import threading
 from collections import deque
@@ -176,12 +178,19 @@ class LockFreeQueue:
         return n
 
 
+def _resolve(waiter: asyncio.Future) -> None:
+    if not waiter.done():
+        waiter.set_result(None)
+
+
 class RowFifo:
     """Bounded-or-unbounded FIFO for one event loop; not thread-safe.
 
     The live gateway parses, enqueues and drains on a single asyncio
     thread, where the compare-and-swap machinery of ``LockFreeQueue``
-    buys nothing and costs most of the per-row queue time.
+    buys nothing and costs most of the per-row queue time. Only one
+    slot sends at a time, so the queue keeps at most one waiter: a
+    future that the next ``enqueue`` or ``requeue`` resolves.
     """
 
     def __init__(self, capacity: int | None = None) -> None:
@@ -189,6 +198,7 @@ class RowFifo:
             raise ValueError("capacity must be non-negative or None")
         self._items: deque = deque()
         self._limit = sys.maxsize if capacity is None else capacity
+        self._waiter: asyncio.Future | None = None
 
     def enqueue(self, item: Any) -> EnqueueResult:
         if item is None:
@@ -197,6 +207,8 @@ class RowFifo:
         if len(items) >= self._limit:
             return EnqueueResult.BACKPRESSURE
         items.append(item)
+        if self._waiter is not None:
+            self._wake()
         return EnqueueResult.ACCEPTED
 
     # the same loop over ``self.enqueue``
@@ -209,6 +221,32 @@ class RowFifo:
         refusing them now would lose them.
         """
         self._items.extendleft(reversed(items))
+        if items and self._waiter is not None:
+            self._wake()
+
+    def _wake(self) -> None:
+        # cleared here, so the rest of a post's rows skip the call
+        waiter, self._waiter = self._waiter, None
+        _resolve(waiter)
+
+    async def wait_nonempty(self, timeout_s: float) -> None:
+        """Sleep until the queue holds an item or ``timeout_s`` passes,
+        whichever comes first. Returns at once when it already holds
+        one. A cancelled wait leaves neither the waiter nor its timer
+        behind."""
+        if self._items:
+            return
+        if self._waiter is not None:
+            raise RuntimeError("RowFifo already has a waiter")
+        loop = asyncio.get_running_loop()
+        waiter = self._waiter = loop.create_future()
+        timer = loop.call_later(timeout_s, _resolve, waiter)
+        try:
+            await waiter
+        finally:
+            timer.cancel()
+            if self._waiter is waiter:
+                self._waiter = None
 
     def dequeue(self) -> Any | None:
         items = self._items

@@ -9,7 +9,8 @@ from contextlib import asynccontextmanager
 import pytest
 
 from gateflow.config import GatewayConfig, SegmentConfig
-from gateflow.gateway import Gateway, SlotRunner
+from gateflow import gateway
+from gateflow.gateway import Gateway, SlotRunner, _SegmentLink
 from gateflow.records import Record
 from gateflow.segment import SegmentDaemon, start_cluster
 from gateflow.slot import Initiator, Slot, SlotPhase, route_record
@@ -223,6 +224,100 @@ class TestPoolDrain:
         asyncio.run(go())
 
 
+class TestSendWindow:
+    def test_idle_window_does_not_spin(self):
+        # with nothing queued a send window sleeps until its deadline:
+        # one empty drain when it opens, not one per poll period
+        async def go():
+            async with live_gateway(n_segments=1, interval_ms=200) as (gw, _):
+                drains = {}
+                drain_up_to = gw.queue.drain_up_to
+
+                def counted(max_items):
+                    for runner in gw.runners.values():
+                        if runner.slot.phase is SlotPhase.SEND:
+                            key = (runner.slot.slot_id, runner.slot.cycle)
+                            drains[key] = drains.get(key, 0) + 1
+                    return drain_up_to(max_items)
+
+                gw.queue.drain_up_to = counted
+                await asyncio.sleep(1.0)
+                assert len(drains) >= 2, drains  # the lone slot keeps sending
+                assert max(drains.values()) <= 3, drains
+                assert gw.counters.snapshot()["rows_committed"] == 0
+
+        asyncio.run(go())
+
+    @staticmethod
+    def one_link_runner():
+        """A gateway that is never started and a runner in WAIT with
+        one link: a bare reader and a writer that records its bytes."""
+
+        class Writer:
+            def __init__(self):
+                self.written = []
+
+            def write(self, data):
+                self.written.append(data)
+
+            async def drain(self):
+                pass
+
+        config = GatewayConfig(
+            segments=(SegmentConfig(id="seg0", port=0),),
+            listen_addr="127.0.0.1:0",
+            schema="seq:int",
+            interval_ms=50,
+        )
+        gw = Gateway(config)
+        slot = Slot(slot_id=gw.state.note_activated(0))
+        slot.transition(SlotPhase.WAIT, Initiator.SCHEDULER, 1)
+        runner = SlotRunner(gw, slot)
+        reader, writer = asyncio.StreamReader(), Writer()
+        runner.links.append(_SegmentLink(reader, writer))
+        return gw, runner, reader, writer
+
+    def test_link_lost_in_the_last_wait_stops_the_window_before_eof(self):
+        # the segment hangs up while the window sleeps out its last
+        # stretch; the check after that wait raises before _commit can
+        # write EOF, so the batch stays re-enqueueable
+        async def go():
+            gw, runner, reader, writer = self.one_link_runner()
+            gw.queue.enqueue(Record("d1", "d1,1,1", 0))
+            loop = asyncio.get_running_loop()
+            # after the window drained its row and went to sleep
+            loop.call_later(0.02, reader.feed_eof)
+            start = loop.time()
+            with pytest.raises(ConnectionResetError):
+                await runner._send_window()
+            assert loop.time() - start >= 0.05  # the whole window was waited out
+            assert writer.written == [b"d1,1,1\n"]  # the row, and no EOF
+            assert runner.batch == 1 and not runner.eof_attempted
+
+        asyncio.run(go())
+
+    def test_full_batch_holds_to_the_end_of_the_window(self, monkeypatch):
+        # with no room left the window neither drains nor waits on the
+        # non-empty queue again: it sleeps out its time once
+        monkeypatch.setattr(gateway, "MAX_BATCH_ROWS", 2)
+
+        async def go():
+            gw, runner, _, writer = self.one_link_runner()
+            gw.queue.extend(Record("d1", f"d1,{i},{i}", i) for i in range(3))
+            drain_up_to = gw.queue.drain_up_to
+            calls = []
+            gw.queue.drain_up_to = lambda n: calls.append(n) or drain_up_to(n)
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            await runner._send_window()
+            assert loop.time() - start >= 0.05
+            assert calls == [2]
+            assert writer.written == [b"d1,0,0\nd1,1,1\n"]
+            assert runner.batch == 2 and gw.queue.approx_len() == 1
+
+        asyncio.run(go())
+
+
 class TestFailureRecovery:
     def test_mid_send_crash_rows_survive_exactly_once(self):
         async def go():
@@ -377,6 +472,15 @@ class TestFailureRecovery:
                 status, report = await post_lines(gw.ingest_port, lines_for(range(20)))
                 assert status == 200 and report["accepted"] == 20
                 await wait_for(failures)
+                if eof_reply is not None:
+                    # the rows went out and an EOF followed: whether that
+                    # commit landed is unknown, so they are neither re-sent
+                    # nor lost without a trace
+                    await wait_for(lambda: gw.counters.rows_in_doubt)
+                    assert gw.counters.snapshot()["rows_in_doubt"] == 20
+                    assert gw.queue.approx_len() == 0
+                else:
+                    assert gw.counters.snapshot()["rows_in_doubt"] == 0
                 # the front door is still answering, and rows waiting
                 # there get a replacement slot
                 status, _ = await post_lines(gw.ingest_port, ["devX,1,9999"])
@@ -384,6 +488,7 @@ class TestFailureRecovery:
                 await wait_for(lambda: gw.state.activations_total >= 2)
                 snap = gw.counters.snapshot()
                 assert snap["slots_aborted_total"] >= 1
+                assert snap["slot_failures_total"] == len(failures()) >= 1
                 assert snap["rows_committed"] == 0
                 gc.collect()  # a lost task exception is reported when freed
                 assert loop_errors == []

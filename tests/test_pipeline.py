@@ -5,6 +5,7 @@ The contract tests run against both queues: ``LockFreeQueue``, the
 reproduced reference, and ``RowFifo``, the gateway's single-loop FIFO;
 each ``...RowFifo`` class reruns its parent's tests on the latter."""
 
+import asyncio
 import threading
 from collections import deque
 
@@ -185,6 +186,86 @@ def test_requeue_goes_to_the_head_past_capacity():
     assert q.approx_len() == 4
     assert q.enqueue("e") is EnqueueResult.BACKPRESSURE
     assert drain_all(q) == ["a", "b", "c", "d"]
+
+
+class TestRowFifoWaiter:
+    """``wait_nonempty``: the one sender sleeps until rows arrive or
+    its timeout passes, and leaves nothing behind when cancelled."""
+
+    @pytest.mark.parametrize(
+        "fill",
+        [
+            pytest.param(lambda q: q.enqueue("r"), id="enqueue"),
+            pytest.param(lambda q: q.extend(["r", "s"]), id="extend"),
+            pytest.param(lambda q: q.requeue(["r"]), id="requeue"),
+        ],
+    )
+    def test_each_way_in_wakes_a_pending_wait(self, fill):
+        async def go():
+            loop = asyncio.get_running_loop()
+            q = RowFifo(capacity=4)
+            waiting = asyncio.create_task(q.wait_nonempty(5.0))
+            await asyncio.sleep(0)  # the wait is pending now
+            assert not waiting.done() and q._waiter is not None
+            start = loop.time()
+            fill(q)
+            assert q._waiter is None  # the rest of a post skips the wake
+            await waiting
+            assert loop.time() - start < 1.0
+            assert q.approx_len() > 0
+
+        asyncio.run(go())
+
+    def test_empty_queue_wait_returns_at_its_timeout(self):
+        async def go():
+            loop = asyncio.get_running_loop()
+            q = RowFifo()
+            start = loop.time()
+            await q.wait_nonempty(0.05)
+            assert 0.05 <= loop.time() - start < 1.0
+            assert q.approx_len() == 0
+            assert q._waiter is None
+
+        asyncio.run(go())
+
+    def test_nonempty_queue_wait_returns_at_once(self):
+        q = RowFifo()
+        q.enqueue("r")
+        # completes on its first step, without suspending or a loop
+        coro = q.wait_nonempty(5.0)
+        with pytest.raises(StopIteration):
+            coro.send(None)
+
+    def test_cancelled_wait_leaves_no_waiter_or_timer(self):
+        async def go():
+            loop = asyncio.get_running_loop()
+            q = RowFifo()
+            waiting = asyncio.create_task(q.wait_nonempty(5.0))
+            await asyncio.sleep(0)
+            waiting.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await waiting
+            assert q._waiter is None
+            assert all(handle.cancelled() for handle in loop._scheduled)
+            q.enqueue("r")  # nobody to wake, and nothing breaks
+            start = loop.time()
+            await q.wait_nonempty(5.0)
+            assert loop.time() - start < 1.0
+
+        asyncio.run(go())
+
+    def test_one_waiter_at_a_time(self):
+        async def go():
+            q = RowFifo()
+            waiting = asyncio.create_task(q.wait_nonempty(5.0))
+            await asyncio.sleep(0)
+            with pytest.raises(RuntimeError):
+                await q.wait_nonempty(5.0)
+            waiting.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await waiting
+
+        asyncio.run(go())
 
 
 class TestReuseHazard:
