@@ -39,9 +39,6 @@ class SegmentConfig:
         if min(self.begin_latency_ms, self.commit_fixed_ms, self.commit_per_row_us) < 0:
             raise ValueError(f"segment {self.id}: latencies must be non-negative")
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class GatewayConfig:

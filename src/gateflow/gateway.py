@@ -9,15 +9,16 @@ every segment acknowledges its commit; a connection lost mid-send
 aborts the segment transaction (nothing became visible) and the
 retained rows go back into the pipeline, so no record is silently lost
 and none is committed twice. The scheduler tick runs as its own
-task and talks to slots through per-slot command queues; slots report
-their progress to the shared scheduler state, which alone records
-which slots are live and marked, and is safe to share because
-everything lives on one loop.
+task and talks to slots through per-slot command queues. A runner
+drives the ``Slot`` that the shared scheduler state holds but moves it
+only by reporting to the state, which is safe to share because
+everything lives on one loop. A failed slot is logged at WARNING.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
 import uuid
 from dataclasses import dataclass, field
 
@@ -37,6 +38,8 @@ from .scheduler import (
 )
 from .slot import Initiator, Slot, SlotPhase, Transition, make_txn_id, route_record
 
+log = logging.getLogger(__name__)
+
 TABLE_NAME = "ingest"
 DRAIN_CHUNK = 512
 MAX_BATCH_ROWS = 1_000_000
@@ -46,7 +49,7 @@ class SlotProtocolError(RuntimeError):
     pass
 
 
-async def _read_reply(reader: asyncio.StreamReader, verb: str, txn: str) -> int:
+async def _read_reply(reader: asyncio.StreamReader, verb: str, txn: str, segment: str) -> int:
     """Read a segment's ``READY <txn>`` or ``COMMITTED <txn> <n>`` reply
     and return n (0 for READY). Any other frame is a protocol error."""
     raw = b""
@@ -57,7 +60,7 @@ async def _read_reply(reader: asyncio.StreamReader, verb: str, txn: str) -> int:
             return int(frame[2]) if verb == "COMMITTED" else 0
     except (ValueError, IndexError):
         pass  # over the line limit, not UTF-8, or no integer count
-    raise SlotProtocolError(f"expected {verb} {txn}, got {raw[:80]!r}")
+    raise SlotProtocolError(f"segment {segment}: expected {verb} {txn}, got {raw[:80]!r}")
 
 
 @dataclass
@@ -89,38 +92,41 @@ class SlotRunner:
 
     async def run(self) -> None:
         """Cycle until the scheduler retires the slot or a link fails.
-        Whether the slot lives on is read from ``gw.state.slots`` after
-        every wait, since the scheduler retires slots there."""
+        Whether the slot lives on is read from the slot after every
+        wait, since the scheduler retires it in its state."""
         gw = self.gateway
         sid = self.slot.slot_id
+        error: Exception | None = None
         try:
             await self._open_links()
             while True:
                 self.eof_attempted.clear()
                 txn = make_txn_id(gw.nonce, sid, self.slot.cycle)
                 await self._begin_txn(txn)
-                if sid not in gw.state.slots:
+                if self.slot.retired:
                     break  # aborted while connecting
-                self.slot.transition(SlotPhase.WAIT, Initiator.SCHEDULER, gw.now())
                 gw.state.note_ready(sid, gw.now())
                 await self.commands.get()  # "dispatch", or "abort" out of Wait
-                if sid not in gw.state.slots:
+                if self.slot.retired:
                     break
                 await self._send_window()
                 if not await self._commit(txn):
                     break  # retired at the commit boundary
-            self.slot.transition(SlotPhase.RETIRED, Initiator.SCHEDULER, gw.now())
-        except (ConnectionError, OSError, asyncio.IncompleteReadError, SlotProtocolError):
+        except (ConnectionError, OSError, asyncio.IncompleteReadError, SlotProtocolError) as exc:
             self._fail()
+            error = exc
         finally:
             self._close_links()
-            gw.runner_done(self)
+            gw.runner_done(self, error)
 
     # -- phases --------------------------------------------------------
 
     async def _open_links(self) -> None:
         for seg in self.gateway.config.segments:
-            reader, writer = await asyncio.open_connection(seg.host, seg.port)
+            try:
+                reader, writer = await asyncio.open_connection(seg.host, seg.port)
+            except OSError as exc:
+                raise ConnectionError(f"segment {seg.id}: {exc}") from exc
             self.links.append(_SegmentLink(reader, writer))
 
     async def _begin_txn(self, txn: str) -> None:
@@ -128,15 +134,13 @@ class SlotRunner:
         for link in self.links:
             link.writer.write(f"BEGIN {txn} {TABLE_NAME}\n".encode())
             await link.writer.drain()
-        for link in self.links:
-            await _read_reply(link.reader, "READY", txn)
+        for seg, link in zip(self.gateway.config.segments, self.links):
+            await _read_reply(link.reader, "READY", txn, seg.id)
         self.gateway.state.observe_ts(self.gateway.now() - start)
 
     async def _send_window(self) -> None:
         gw = self.gateway
-        now = gw.now()
-        self.slot.transition(SlotPhase.SEND, Initiator.SCHEDULER, now)
-        deadline = now + gw.t_d_us
+        deadline = gw.now() + gw.t_d_us
         n_segs = len(self.links)
         self.sent = [[] for _ in range(n_segs)]
         while True:
@@ -174,9 +178,9 @@ class SlotRunner:
         self._check_links()
 
     def _check_links(self) -> None:
-        for link in self.links:
+        for seg, link in zip(self.gateway.config.segments, self.links):
             if link.reader.at_eof() or link.reader.exception() is not None:
-                raise ConnectionResetError("segment link lost during send")
+                raise ConnectionResetError(f"segment {seg.id}: link lost during send")
 
     async def _commit(self, txn: str) -> bool:
         """Close the send window and commit; returns whether the slot
@@ -186,7 +190,6 @@ class SlotRunner:
         rows = self.batch
         eof_at = gw.now()
         # the one slot-initiated edge: the collection interval is over
-        self.slot.transition(SlotPhase.COMMIT, Initiator.SLOT, eof_at)
         if gw.state.note_send_ended(sid, rows, eof_at):
             return False  # the empty transaction is dropped, not committed
         for idx, link in enumerate(self.links):
@@ -194,8 +197,8 @@ class SlotRunner:
             link.writer.write(b"EOF\n")
             await link.writer.drain()
         total = 0
-        for link in self.links:
-            total += await _read_reply(link.reader, "COMMITTED", txn)
+        for seg, link in zip(gw.config.segments, self.links):
+            total += await _read_reply(link.reader, "COMMITTED", txn, seg.id)
         if total != rows:
             raise SlotProtocolError(f"committed {total} of {rows} rows of {txn}")
         ack_at = gw.now()
@@ -205,10 +208,7 @@ class SlotRunner:
         gw.counters.set_gauge("last_commit_ms", ack_at // 1000)
         self.batch = 0
         self.sent = []
-        if retired:
-            return False
-        self.slot.transition(SlotPhase.CONNECT, Initiator.SCHEDULER, ack_at)
-        return True
+        return not retired
 
     # -- teardown ------------------------------------------------------
 
@@ -219,8 +219,6 @@ class SlotRunner:
         committed there, and re-sending them would duplicate, so they
         are only counted as in doubt."""
         gw = self.gateway
-        self.slot.transition(SlotPhase.RETIRED, Initiator.FAILURE, gw.now())
-        gw.counters.add("slot_failures_total")
         safe: list[Record] = []
         in_doubt = 0
         for idx, blobs in enumerate(self.sent):
@@ -292,15 +290,18 @@ class Gateway:
                 await self._tick_task
             except asyncio.CancelledError:
                 pass
-        for runner in list(self.runners.values()):
-            if runner.task is not None:
-                runner.task.cancel()
-        for runner in list(self.runners.values()):
-            if runner.task is not None:
-                try:
-                    await runner.task
-                except asyncio.CancelledError:
-                    pass
+        # the slots shutdown cuts short retire on a scheduler edge:
+        # they did not fail
+        for sid in list(self.state.slots):
+            self.state.note_retired(sid, self.now(), Initiator.SCHEDULER)
+        tasks = [runner.task for runner in self.runners.values() if runner.task is not None]
+        for task in tasks:
+            task.cancel()
+        for task in tasks:
+            try:
+                await task
+            except asyncio.CancelledError:
+                pass
         await self.ingest.stop()
 
     async def quiesce(self, timeout_s: float = 30.0) -> bool:
@@ -342,7 +343,7 @@ class Gateway:
 
     def _activate(self, now: int) -> None:
         sid = self.state.note_activated(now)
-        slot = Slot(slot_id=sid)
+        slot = self.state.slots[sid]
         runner = SlotRunner(self, slot)
         runner.task = asyncio.create_task(runner.run())
         self.runners[sid] = runner
@@ -355,14 +356,17 @@ class Gateway:
         if runner is not None:
             runner.commands.put_nowait(cmd)
 
-    def runner_done(self, runner: SlotRunner) -> None:
-        """The one exit of every slot task. The state still lists the
-        slot only when no scheduler decision ended it (a failure, an
-        unforeseen exception, or shutdown), so it is retired here and
-        no slot stays listed without a task to drive it."""
+    def runner_done(self, runner: SlotRunner, error: Exception | None) -> None:
+        """The one exit of every slot task. Scheduler decisions and
+        ``stop`` retire a slot in the state before its task ends, so a
+        slot the state still lists here failed (a lost link, a bad
+        frame, or an unforeseen exception). It retires on a FAILURE
+        edge, and no slot stays listed without a task to drive it."""
         sid = runner.slot.slot_id
         if sid in self.state.slots:
             self.state.note_retired(sid, self.now())
+            self.counters.add("slot_failures_total")
+            log.warning("slot %d failed: %s", sid, error)
         if self.runners.pop(sid, None) is not None:
             self.counters.set_gauge("active_slots", len(self.runners))
             if self._running:

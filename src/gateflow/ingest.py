@@ -144,7 +144,6 @@ class IngestServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        self.queue = queue
         self.counters = counters
         self.ingestors = [LineIngestor(queue, schema)]
         self.host = host

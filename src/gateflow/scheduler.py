@@ -24,7 +24,8 @@ the decisions a tick emits are a pure function of (state, now, data
 pending). ``tick`` records its own abort decisions in the state: an
 immediate abort retires the slot, a deferred one marks it, and the
 mark is resolved when the slot reports its send end or commit ack.
-Both the live engine and the simulator call this exact code.
+Both the live engine and the simulator call this exact code, and both
+move their slots only through the state's transition-checked reports.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .slot import SlotPhase
+from .slot import Initiator, Slot, SlotPhase
 
 DEFAULT_DISPATCH_CYCLE_MS = 10_000
 DEFAULT_MAX_SLOTS = 64
@@ -133,38 +134,26 @@ def tick_interval_us(t_d_us: int) -> int:
     return max(100, min(t_d_us // 10, 50_000))
 
 
-@dataclass
-class SlotInfo:
-    """The scheduler's view of one live slot."""
-
-    slot_id: int
-    phase: SlotPhase
-    activated_at: int
-    wait_entered_at: int | None = None
-    entered_send_once: bool = False
-    sent_rows_this_cycle: int = 0
-    marked_for_abort: bool = False
-
-
 class SchedulerState:
     """Mutable scheduler bookkeeping, engine-agnostic.
 
-    The state is the only record of which slots are live, of each
-    slot's phase, and of which slots are marked for a deferred abort.
-    Engines only report progress through the ``note_*`` methods
-    (activated, ready, dispatched, send ended, commit acked, and
-    ``note_retired`` for a failure) and carry out the actions ``tick``
-    returns; ``tick`` and the two reports that resolve a mark retire
-    slots here themselves. Timestamps are microseconds on whatever
-    clock the engine runs. When a DecisionLog is attached, every report
-    is journaled so a run can be replayed against a fresh state to
-    prove the decisions were a pure function of the inputs.
+    ``slots`` holds the one ``Slot`` record of every live slot. Engines
+    read it but move it only through the ``note_*`` reports (activated,
+    ready, dispatched, send ended, commit acked, and ``note_retired``
+    for a failure or shutdown), each of which takes its edge through
+    ``Slot.transition`` and so raises ``PhaseError`` when illegal.
+    Engines carry out the actions ``tick`` returns; ``tick`` and the
+    two reports that resolve a mark retire slots here themselves.
+    Timestamps are microseconds on whatever clock the engine runs.
+    When a DecisionLog is attached, every report is journaled so a run
+    can be replayed against a fresh state to prove the decisions were a
+    pure function of the inputs.
     """
 
     def __init__(self, params: TimingParams, log: "DecisionLog | None" = None) -> None:
         self.params = params
         self.log = log
-        self.slots: dict[int, SlotInfo] = {}
+        self.slots: dict[int, Slot] = {}
         self.ticked_once = False
         self.cycle_started_at = 0
         self.last_activation_at: int | None = None
@@ -176,7 +165,7 @@ class SchedulerState:
         self.activations_total = 0
         self.aborts_total = 0
 
-    def _journal(self, name: str, *args: int) -> None:
+    def _journal(self, name: str, *args) -> None:
         if self.log is not None:
             self.log.entries.append((name, args))
 
@@ -186,7 +175,7 @@ class SchedulerState:
         self._journal("note_activated", now)
         slot_id = self.next_slot_id
         self.next_slot_id += 1
-        self.slots[slot_id] = SlotInfo(slot_id, SlotPhase.CONNECT, activated_at=now)
+        self.slots[slot_id] = Slot(slot_id, activated_at=now)
         self.last_activation_at = now
         self.last_activated_slot = slot_id
         self.activations_total += 1
@@ -194,16 +183,16 @@ class SchedulerState:
 
     def note_ready(self, slot_id: int, now: int) -> None:
         self._journal("note_ready", slot_id, now)
-        info = self.slots[slot_id]
-        info.phase = SlotPhase.WAIT
-        info.wait_entered_at = now
+        slot = self.slots[slot_id]
+        slot.transition(SlotPhase.WAIT, Initiator.SCHEDULER, now)
+        slot.wait_entered_at = now
 
     def note_dispatched(self, slot_id: int, now: int) -> None:
         self._journal("note_dispatched", slot_id, now)
-        info = self.slots[slot_id]
-        info.phase = SlotPhase.SEND
-        info.wait_entered_at = None
-        info.entered_send_once = True
+        slot = self.slots[slot_id]
+        slot.transition(SlotPhase.SEND, Initiator.SCHEDULER, now)
+        slot.wait_entered_at = None
+        slot.entered_send_once = True
         self.current_sender = slot_id
 
     def note_send_ended(self, slot_id: int, rows: int, now: int) -> bool:
@@ -214,36 +203,37 @@ class SchedulerState:
         paying for its commit. Returns True when the slot was retired.
         """
         self._journal("note_send_ended", slot_id, rows, now)
-        info = self.slots[slot_id]
-        info.phase = SlotPhase.COMMIT
-        info.sent_rows_this_cycle += rows
+        slot = self.slots[slot_id]
+        slot.transition(SlotPhase.COMMIT, Initiator.SLOT, now)
+        slot.sent_rows_this_cycle += rows
         if self.current_sender == slot_id:
             self.current_sender = None
-        if info.marked_for_abort:
+        if slot.marked_for_abort:
             if rows == 0:
-                self._retire(slot_id)
+                self._retire(slot_id, now)
                 return True
-            info.marked_for_abort = False
+            slot.marked_for_abort = False
         return False
 
     def note_commit_acked(self, slot_id: int, now: int) -> bool:
-        """The slot's commit landed. A slot still marked retires here;
-        returns True when it was retired."""
+        """The slot's commit landed. A slot still marked retires here,
+        straight out of Commit; returns True when it was retired."""
         self._journal("note_commit_acked", slot_id, now)
-        info = self.slots[slot_id]
-        info.phase = SlotPhase.CONNECT
-        if info.marked_for_abort:
-            self._retire(slot_id)
+        slot = self.slots[slot_id]
+        if slot.marked_for_abort and slot.phase is SlotPhase.COMMIT:
+            self._retire(slot_id, now)
             return True
+        slot.transition(SlotPhase.CONNECT, Initiator.SCHEDULER, now)
         return False
 
-    def note_retired(self, slot_id: int, now: int) -> None:
-        """The slot ended outside any scheduler decision, as on a failure."""
-        self._journal("note_retired", slot_id, now)
-        self._retire(slot_id)
+    def note_retired(self, slot_id: int, now: int, initiator: Initiator = Initiator.FAILURE) -> None:
+        """The slot ended outside any tick decision: a failure, or the
+        engine shutting down (SCHEDULER)."""
+        self._journal("note_retired", slot_id, now, initiator)
+        self._retire(slot_id, now, initiator)
 
-    def _retire(self, slot_id: int) -> None:
-        del self.slots[slot_id]
+    def _retire(self, slot_id: int, now: int, initiator: Initiator = Initiator.SCHEDULER) -> None:
+        self.slots.pop(slot_id).transition(SlotPhase.RETIRED, initiator, now)
         if self.current_sender == slot_id:
             self.current_sender = None
         self.aborts_total += 1
@@ -372,7 +362,7 @@ def tick(state: SchedulerState, now: int, pipeline_nonempty: bool) -> list[Actio
             if action.deferred:
                 live[action.slot_id].marked_for_abort = True
             else:
-                state._retire(action.slot_id)
+                state._retire(action.slot_id, now)
     return actions
 
 

@@ -6,7 +6,8 @@ only by retirement. The scheduler commands every edge except
 Send -> Commit, which the slot triggers itself when its collection
 interval ends; failure paths (refused connection, dropped socket) may
 also retire a slot. Each transition carries its initiator so an audit
-trail can prove who moved what.
+trail can prove who moved what. ``SchedulerState`` holds the one
+``Slot`` record of each slot, for both engines.
 """
 
 from __future__ import annotations
@@ -61,16 +62,20 @@ class Transition:
 
 @dataclass
 class Slot:
-    """Audit trail of one slot: its phase, its cycle (bumped on every
-    re-entry to Connect, and part of its transaction id) and the history
-    of its transitions with their initiators. No I/O and no timing
-    lives here; the scheduler state owns the wait start and the runner
-    owns the batch."""
+    """One slot: its phase, its cycle (bumped on every re-entry to
+    Connect, and part of its transaction id), the history of its
+    transitions with their initiators, and the facts the scheduler's
+    rules read. No I/O lives here; the runner owns the batch."""
 
     slot_id: int
     phase: SlotPhase = SlotPhase.CONNECT
     cycle: int = 0
     history: list[Transition] = field(default_factory=list)
+    activated_at: int = 0
+    wait_entered_at: int | None = None
+    entered_send_once: bool = False
+    sent_rows_this_cycle: int = 0
+    marked_for_abort: bool = False
 
     def transition(self, dst: SlotPhase, initiator: Initiator, now: int) -> Transition:
         src = self.phase

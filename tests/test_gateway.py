@@ -107,6 +107,36 @@ class TestShutdown:
         assert seen == []
 
 
+class TestOneSlotRecord:
+    def test_runners_drive_the_slots_the_state_holds(self):
+        # the runner, the audit list and the scheduler state share one
+        # record per slot, and a clean stop retires the live ones on
+        # scheduler edges, not failure ones
+        async def go():
+            async with live_gateway(
+                n_segments=1,
+                interval_ms=30,
+                seg_kw=dict(commit_fixed_ms=60),
+            ) as (gw, _):
+                seen = {}
+                for i in range(30):
+                    await post_lines(gw.ingest_port, lines_for(range(40 * i, 40 * i + 40)))
+                    for sid, slot in gw.state.slots.items():
+                        assert gw.runners[sid].slot is slot
+                        seen[sid] = slot
+                    await asyncio.sleep(0.03)
+                assert await gw.quiesce(timeout_s=30)
+                assert len(seen) >= 2
+                assert all(any(a is s for a in gw.audit_slots) for s in seen.values())
+                assert gw.state.slots
+            assert not gw.state.slots
+            assert all(slot.retired for slot in gw.audit_slots)
+            assert all(tr.initiator is not Initiator.FAILURE for tr in gw.transitions())
+            assert gw.counters.snapshot()["slot_failures_total"] == 0
+
+        asyncio.run(go())
+
+
 class TestEndToEnd:
     def test_exactly_once_with_rejections(self):
         async def go():
@@ -404,7 +434,7 @@ class TestFailureRecovery:
             pytest.param(b"READY {txn}", b"COMMITTED {txn}", id="COMMITTED-no-count"),
         ],
     )
-    def test_protocol_error_peer_cannot_wedge_the_gateway(self, begin_reply, eof_reply):
+    def test_protocol_error_peer_cannot_wedge_the_gateway(self, begin_reply, eof_reply, caplog):
         # a peer that answers with a frame the protocol does not allow
         # costs the slot, never the gateway: the slot retires on a
         # FAILURE edge and the pool activates a replacement
@@ -490,12 +520,25 @@ class TestFailureRecovery:
                 assert snap["slots_aborted_total"] >= 1
                 assert snap["slot_failures_total"] == len(failures()) >= 1
                 assert snap["rows_committed"] == 0
+                # each failure is logged once, naming the slot, the
+                # segment and the frame it sent
+                warned = [
+                    r.getMessage().split(" failed: segment bad: expected ")
+                    for r in caplog.records
+                    if r.name == "gateflow.gateway" and r.levelname == "WARNING"
+                ]
+                assert sorted(w[0] for w in warned) == sorted(
+                    f"slot {tr.slot_id}" for tr in failures()
+                )
+                assert all(len(w) == 2 and "got b" in w[1] for w in warned)
                 gc.collect()  # a lost task exception is reported when freed
                 assert loop_errors == []
             finally:
                 await gw.stop()
                 server.close()
                 await server.wait_closed()
+            # shutdown is not a failure
+            assert gw.counters.snapshot()["slot_failures_total"] == len(failures())
 
         asyncio.run(go())
 
@@ -513,9 +556,9 @@ class TestRetainedBatch:
         )
         gw = Gateway(config)
         sid = gw.state.note_activated(0)
-        slot = Slot(slot_id=sid)
-        slot.transition(SlotPhase.WAIT, Initiator.SCHEDULER, 1)
-        slot.transition(SlotPhase.SEND, Initiator.SCHEDULER, 2)
+        gw.state.note_ready(sid, 1)
+        gw.state.note_dispatched(sid, 2)
+        slot = gw.state.slots[sid]
         runner = SlotRunner(gw, slot)
         runner.sent = [
             [b"a,1,0\nb,1,1\n", b"a,2,2\n"],
@@ -527,8 +570,9 @@ class TestRetainedBatch:
         later = Record("z", "z,9,9", 9)
         gw.queue.enqueue(later)
 
+        error = ConnectionResetError("segment seg0: link lost during send")
         runner._fail()
-        gw.runner_done(runner)  # the task's exit, which retires the slot
+        gw.runner_done(runner, error)  # the task's exit, which retires the slot
 
         requeued = gw.queue.drain_up_to(100)
         assert [r.line for r in requeued] == [

@@ -24,6 +24,7 @@ from gateflow.scheduler import (
     tick,
     tick_interval_us,
 )
+from gateflow.slot import Initiator, PhaseError, SlotPhase
 
 MS = 1000  # microseconds per millisecond
 
@@ -208,9 +209,11 @@ class TestGrowth:
         st_ = mk_state(max_slots=2)
         st_.ticked_once = True
         a = st_.note_activated(0)
+        st_.note_ready(a, 0)
         st_.note_dispatched(a, 0)
         st_.note_send_ended(a, 5, 100 * MS)
         b = st_.note_activated(100 * MS)
+        st_.note_ready(b, 105 * MS)
         st_.note_dispatched(b, 110 * MS)
         st_.note_send_ended(b, 5, 210 * MS)
         assert tick(st_, 400 * MS, True) == []
@@ -452,6 +455,86 @@ class TestAbortBookkeeping:
         st_.note_retired(a, 1010 * MS)
         assert a not in st_.slots and st_.current_sender is None
         assert st_.aborts_total == 1
+
+
+class TestReportsMoveTheSlot:
+    """Each report moves the slot's one record through the transition
+    checks, so an engine that reports out of order is stopped."""
+
+    def test_dispatch_of_a_connecting_slot_is_illegal(self):
+        st_ = mk_state()
+        a = st_.note_activated(0)
+        with pytest.raises(PhaseError):
+            st_.note_dispatched(a, 10 * MS)
+        assert st_.slots[a].phase is SlotPhase.CONNECT
+        assert st_.current_sender is None
+
+    def test_send_end_of_a_waiting_slot_is_illegal(self):
+        st_ = mk_state()
+        a = st_.note_activated(0)
+        st_.note_ready(a, 10 * MS)
+        with pytest.raises(PhaseError):
+            st_.note_send_ended(a, 5, 20 * MS)
+        assert st_.slots[a].phase is SlotPhase.WAIT
+
+    def test_history_carries_every_edge_and_initiator(self):
+        st_ = mk_state()
+        a = st_.note_activated(0)
+        slot = st_.slots[a]
+        st_.note_ready(a, 10 * MS)
+        st_.note_dispatched(a, 20 * MS)
+        st_.note_send_ended(a, 5, 120 * MS)
+        st_.note_commit_acked(a, 150 * MS)
+        st_.note_retired(a, 160 * MS)
+        assert [(t.src, t.dst, t.initiator, t.at) for t in slot.history] == [
+            (SlotPhase.CONNECT, SlotPhase.WAIT, Initiator.SCHEDULER, 10 * MS),
+            (SlotPhase.WAIT, SlotPhase.SEND, Initiator.SCHEDULER, 20 * MS),
+            (SlotPhase.SEND, SlotPhase.COMMIT, Initiator.SLOT, 120 * MS),
+            (SlotPhase.COMMIT, SlotPhase.CONNECT, Initiator.SCHEDULER, 150 * MS),
+            (SlotPhase.CONNECT, SlotPhase.RETIRED, Initiator.FAILURE, 160 * MS),
+        ]
+        assert slot.cycle == 1 and slot.retired
+
+    def test_marked_commit_ack_retires_straight_out_of_commit(self):
+        st_ = mk_state(cycle_ms=1000)
+        a = st_.note_activated(0)
+        slot = st_.slots[a]
+        tick(st_, 0, False)
+        st_.note_ready(a, 900 * MS)
+        st_.note_dispatched(a, 900 * MS)
+        st_.note_send_ended(a, 0, 950 * MS)
+        tick(st_, 1000 * MS, False)
+        assert st_.note_commit_acked(a, 1050 * MS) is True
+        last = slot.history[-1]
+        assert (last.src, last.dst, last.initiator) == (
+            SlotPhase.COMMIT, SlotPhase.RETIRED, Initiator.SCHEDULER,
+        )
+        assert slot.cycle == 0
+
+    def test_immediate_abort_is_stamped_at_the_decision(self):
+        st_ = mk_state()
+        st_.ticked_once = True
+        a = st_.note_activated(0)
+        b = st_.note_activated(0)
+        st_.note_ready(a, 0)
+        st_.note_dispatched(a, 10 * MS)
+        st_.note_ready(b, 20 * MS)
+        slot = st_.slots[b]
+        tick(st_, 121 * MS, False)
+        last = slot.history[-1]
+        assert (last.src, last.dst, last.initiator, last.at) == (
+            SlotPhase.WAIT, SlotPhase.RETIRED, Initiator.SCHEDULER, 121 * MS,
+        )
+
+    def test_shutdown_retirement_is_not_a_failure(self):
+        log = DecisionLog()
+        params = TimingParams(t_d_us=100 * MS, dispatch_cycle_us=1000 * MS)
+        st_ = SchedulerState(params, log=log)
+        a = st_.note_activated(0)
+        slot = st_.slots[a]
+        st_.note_retired(a, 10 * MS, Initiator.SCHEDULER)
+        assert slot.history[-1].initiator is Initiator.SCHEDULER
+        log.replay(params)  # the journaled report replays, initiator and all
 
 
 class TestDecisionReplay:

@@ -1,25 +1,59 @@
-"""Smoke tests for the measurement scripts under ``scripts/``."""
+"""Smoke tests for the scripts under ``scripts/``: each runs with small
+arguments, exits 0 and writes nothing to stderr."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_idle_cpu_reports_cpu_and_commit_rate():
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "idle_cpu.py"), "--seconds", "0.3"],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""  # no traceback at shutdown
-    values = dict(line.split("=", 1) for line in proc.stdout.splitlines()[1:])
+    assert proc.stderr == ""  # no traceback, warning or log line
+    return proc.stdout
+
+
+def test_idle_cpu_reports_cpu_and_commit_rate():
+    stdout = run_script("idle_cpu.py", "--seconds", "0.3")
+    values = dict(line.split("=", 1) for line in stdout.splitlines()[1:])
     assert set(values) == {"cpu_pct", "commits_per_s"}
     assert 0 <= float(values["cpu_pct"]) <= 200
     assert float(values["commits_per_s"]) >= 0
+
+
+@pytest.mark.parametrize(
+    "name, args, expect",
+    [
+        pytest.param(
+            "flow_timeline.py", ["step-up", "--duration-ms", "2000", "--gantt"],
+            "slot   1 |", id="flow_timeline",
+        ),
+        pytest.param(
+            "prestart_savings.py", ["--t-s", "0", "50", "--duration-ms", "2000"],
+            "saved us", id="prestart_savings",
+        ),
+        pytest.param(
+            "pool_convergence.py", ["--triples", "2"],
+            "all 2 triples settled on the predicted size", id="pool_convergence",
+        ),
+        # reads Gateway.send_spans() for its overlap count
+        pytest.param(
+            "live_demo.py", ["--seconds", "1", "--segments", "2"],
+            "overlapping: 0", id="live_demo",
+        ),
+    ],
+)
+def test_script_runs_clean(name, args, expect):
+    assert expect in run_script(name, *args)
