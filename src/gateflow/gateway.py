@@ -8,11 +8,15 @@ kept in memory, as the bytes already written to each segment, until
 every segment acknowledges its commit; a connection lost mid-send
 aborts the segment transaction (nothing became visible) and the
 retained rows go back into the pipeline, so no record is silently lost
-and none is committed twice. The scheduler tick runs as its own
-task and talks to slots through per-slot command queues. A runner
-drives the ``Slot`` that the shared scheduler state holds but moves it
-only by reporting to the state, which is safe to share because
-everything lives on one loop. A failed slot is logged at WARNING.
+and none is committed twice. The scheduler tick is a plain callback
+that talks to slots through per-slot command queues. It runs at start,
+soon after each report a runner makes and each failure retirement,
+when the queue fills while no slot sends, and at the instant
+``next_deadline`` names for the next timed rule; nothing else can
+change its decisions, so it has no polling period. A runner drives the
+``Slot`` that the shared scheduler state holds but moves it only by
+reporting to the state, which is safe to share because everything
+lives on one loop. A failed slot is logged at WARNING.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from .scheduler import (
     DispatchSender,
     SchedulerState,
     TimingParams,
+    next_deadline,
     tick,
-    tick_interval_us,
 )
 from .slot import Initiator, Slot, SlotPhase, Transition, make_txn_id, route_record
 
@@ -106,6 +110,7 @@ class SlotRunner:
                 if self.slot.retired:
                     break  # aborted while connecting
                 gw.state.note_ready(sid, gw.now())
+                gw.request_tick()
                 await self.commands.get()  # "dispatch", or "abort" out of Wait
                 if self.slot.retired:
                     break
@@ -190,7 +195,9 @@ class SlotRunner:
         rows = self.batch
         eof_at = gw.now()
         # the one slot-initiated edge: the collection interval is over
-        if gw.state.note_send_ended(sid, rows, eof_at):
+        retired = gw.state.note_send_ended(sid, rows, eof_at)
+        gw.request_tick()
+        if retired:
             return False  # the empty transaction is dropped, not committed
         for idx, link in enumerate(self.links):
             self.eof_attempted.add(idx)
@@ -204,6 +211,7 @@ class SlotRunner:
         ack_at = gw.now()
         gw.state.observe_tc(ack_at - eof_at)
         retired = gw.state.note_commit_acked(sid, ack_at)
+        gw.request_tick()
         gw.counters.add("rows_committed", rows)
         gw.counters.set_gauge("last_commit_ms", ack_at // 1000)
         self.batch = 0
@@ -246,11 +254,11 @@ class SlotRunner:
 
 class Gateway:
     """Owns the pipeline, the ingest server, the slot pool, and the
-    scheduler tick task."""
+    scheduler tick's pending call and deadline timer."""
 
     def __init__(self, config: GatewayConfig) -> None:
         self.config = config
-        self.queue = RowFifo(capacity=config.queue_capacity)
+        self.queue = RowFifo(capacity=config.queue_capacity, on_fill=self._queue_filled)
         self.schema = config.schema_obj()
         self.counters = Counters()
         self.t_d_us = config.interval_ms * 1000
@@ -265,7 +273,8 @@ class Gateway:
         self.ingest = IngestServer(self.queue, self.schema, self.counters, host, port)
         self.runners: dict[int, SlotRunner] = {}
         self.audit_slots: list[Slot] = []
-        self._tick_task: asyncio.Task | None = None
+        self._tick_soon: asyncio.Handle | None = None
+        self._tick_timer: asyncio.TimerHandle | None = None
         self._running = False
 
     def now(self) -> int:
@@ -280,16 +289,11 @@ class Gateway:
     async def start(self) -> None:
         await self.ingest.start()
         self._running = True
-        self._tick_task = asyncio.create_task(self._tick_loop())
+        self.request_tick()
 
     async def stop(self) -> None:
         self._running = False
-        if self._tick_task is not None:
-            self._tick_task.cancel()
-            try:
-                await self._tick_task
-            except asyncio.CancelledError:
-                pass
+        self._cancel_tick()
         # the slots shutdown cuts short retire on a scheduler edge:
         # they did not fail
         for sid in list(self.state.slots):
@@ -321,25 +325,46 @@ class Gateway:
 
     # -- scheduler plumbing --------------------------------------------
 
-    async def _tick_loop(self) -> None:
-        interval_s = tick_interval_us(self.t_d_us) / 1_000_000
-        while self._running:
-            now = self.now()
-            nonempty = self.queue.approx_len() > 0
-            for action in tick(self.state, now, nonempty):
-                if isinstance(action, ActivateSlot):
-                    self._activate(now)
-                elif isinstance(action, DispatchSender):
-                    # state changes at decision time, not when the
-                    # runner wakes, or the next tick could pick a
-                    # second sender
-                    self.state.note_dispatched(action.slot_id, now)
-                    self._command(action.slot_id, "dispatch")
-                elif isinstance(action, AbortSlot) and not action.deferred:
-                    # tick retired it already: wake the runner to tear
-                    # down its side
-                    self._command(action.slot_id, "abort")
-            await asyncio.sleep(interval_s)
+    def request_tick(self) -> None:
+        """Run a tick soon: the reports of one loop turn share it."""
+        if self._running and self._tick_soon is None:
+            self._tick_soon = asyncio.get_running_loop().call_soon(self._tick)
+
+    def _queue_filled(self) -> None:
+        # with a slot sending, rows in the queue change no decision
+        # before that slot reports its send end
+        if self.state.current_sender is None:
+            self.request_tick()
+
+    def _cancel_tick(self) -> None:
+        for handle in (self._tick_soon, self._tick_timer):
+            if handle is not None:
+                handle.cancel()
+        self._tick_soon = self._tick_timer = None
+
+    def _tick(self) -> None:
+        # reached from the pending call or the deadline timer: this one
+        # tick stands for both
+        self._cancel_tick()
+        now = self.now()
+        nonempty = self.queue.approx_len() > 0
+        for action in tick(self.state, now, nonempty):
+            if isinstance(action, ActivateSlot):
+                self._activate(now)
+            elif isinstance(action, DispatchSender):
+                # state changes at decision time, not when the
+                # runner wakes, or the next tick could pick a
+                # second sender
+                self.state.note_dispatched(action.slot_id, now)
+                self._command(action.slot_id, "dispatch")
+            elif isinstance(action, AbortSlot) and not action.deferred:
+                # tick retired it already: wake the runner to tear
+                # down its side
+                self._command(action.slot_id, "abort")
+        due = next_deadline(self.state, now, nonempty)
+        if due is not None:
+            # self.now() and the loop's time read the same monotonic clock
+            self._tick_timer = asyncio.get_running_loop().call_at(due / 1_000_000, self._tick)
 
     def _activate(self, now: int) -> None:
         sid = self.state.note_activated(now)
@@ -365,6 +390,7 @@ class Gateway:
         sid = runner.slot.slot_id
         if sid in self.state.slots:
             self.state.note_retired(sid, self.now())
+            self.request_tick()
             self.counters.add("slot_failures_total")
             log.warning("slot %d failed: %s", sid, error)
         if self.runners.pop(sid, None) is not None:

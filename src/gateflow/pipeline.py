@@ -2,7 +2,9 @@
 
 ``RowFifo`` is the live gateway's queue: a deque plus a capacity bound,
 for producers and a consumer that share one asyncio event loop. Its
-one consumer can sleep in ``wait_nonempty`` until a row arrives.
+one consumer can sleep in ``wait_nonempty`` until a row arrives, and an
+optional ``on_fill`` callback hears each time the queue stops being
+empty.
 
 ``LockFreeQueue`` is the reproduced multi-producer multi-consumer
 design, kept as the reference the queue contract is tested against. It
@@ -29,7 +31,7 @@ import sys
 import threading
 from collections import deque
 from enum import Enum
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 
 class EnqueueResult(Enum):
@@ -190,25 +192,29 @@ class RowFifo:
     thread, where the compare-and-swap machinery of ``LockFreeQueue``
     buys nothing and costs most of the per-row queue time. Only one
     slot sends at a time, so the queue keeps at most one waiter: a
-    future that the next ``enqueue`` or ``requeue`` resolves.
+    future that the next ``enqueue`` or ``requeue`` resolves. That
+    same first item of a non-empty stretch also calls ``on_fill``.
     """
 
-    def __init__(self, capacity: int | None = None) -> None:
+    def __init__(self, capacity: int | None = None,
+                 on_fill: Callable[[], None] | None = None) -> None:
         if capacity is not None and capacity < 0:
             raise ValueError("capacity must be non-negative or None")
         self._items: deque = deque()
         self._limit = sys.maxsize if capacity is None else capacity
         self._waiter: asyncio.Future | None = None
+        self.on_fill = on_fill
 
     def enqueue(self, item: Any) -> EnqueueResult:
         if item is None:
             raise ValueError("queue items may not be None")
         items = self._items
-        if len(items) >= self._limit:
+        n = len(items)
+        if n >= self._limit:
             return EnqueueResult.BACKPRESSURE
         items.append(item)
-        if self._waiter is not None:
-            self._wake()
+        if not n:
+            self._filled()
         return EnqueueResult.ACCEPTED
 
     # the same loop over ``self.enqueue``
@@ -220,14 +226,19 @@ class RowFifo:
         The capacity does not apply: these rows were accepted once, and
         refusing them now would lose them.
         """
+        was_empty = not self._items
         self._items.extendleft(reversed(items))
-        if items and self._waiter is not None:
-            self._wake()
+        if items and was_empty:
+            self._filled()
 
-    def _wake(self) -> None:
-        # cleared here, so the rest of a post's rows skip the call
+    def _filled(self) -> None:
+        # a waiter only waits on an empty queue, so the rest of a
+        # post's rows skip this call
         waiter, self._waiter = self._waiter, None
-        _resolve(waiter)
+        if waiter is not None:
+            _resolve(waiter)
+        if self.on_fill is not None:
+            self.on_fill()
 
     async def wait_nonempty(self, timeout_s: float) -> None:
         """Sleep until the queue holds an item or ``timeout_s`` passes,

@@ -26,6 +26,8 @@ immediate abort retires the slot, a deferred one marks it, and the
 mark is resolved when the slot reports its send end or commit ack.
 Both the live engine and the simulator call this exact code, and both
 move their slots only through the state's transition-checked reports.
+``next_deadline`` gives the instant a timed rule can next fire, so an
+engine can tick on reports and deadlines instead of on a fixed grid.
 """
 
 from __future__ import annotations
@@ -126,12 +128,6 @@ class TimingParams:
             raise ValueError("dispatch cycle must be at least one interval")
         if self.max_slots < 1:
             raise ValueError("max_slots must be >= 1")
-
-
-def tick_interval_us(t_d_us: int) -> int:
-    """Polling granularity of the live loop: a tenth of the interval,
-    capped at 50 ms and floored at 100 us."""
-    return max(100, min(t_d_us // 10, 50_000))
 
 
 class SchedulerState:
@@ -364,6 +360,54 @@ def tick(state: SchedulerState, now: int, pipeline_nonempty: bool) -> list[Actio
             else:
                 state._retire(action.slot_id, now)
     return actions
+
+
+def next_deadline(state: SchedulerState, now: int, pipeline_nonempty: bool) -> int | None:
+    """The earliest instant strictly after ``now`` at which ``tick`` can
+    emit an action with no report in between, or None when no timed
+    rule is pending. Between reports only the clock moves, so an engine
+    that ticks after every report, when the queue fills while no slot
+    sends, and at this instant makes every decision a fixed grid of
+    ticks would make. Call it after a tick and the reports its actions
+    lead to, with that tick's ``now`` and data flag.
+
+      rule 6: the next dispatch-cycle boundary, while any slot lives
+              (a boundary also restarts the slots' row counts)
+      rule 5: the oldest unmarked waiter's wait passing t_d, while more
+              than one slot lives
+      rule 3: the growth spacing running out, while data waits, no slot
+              sends, and rule 4 and ``max_slots`` let the pool grow
+    """
+    if not state.ticked_once:
+        return None  # the engine's first tick is not a timed one
+    params = state.params
+    live = state.slots
+    due: list[int] = []
+    if live:
+        due.append(state.cycle_started_at + params.dispatch_cycle_us)
+    if len(live) > 1:
+        waits = [
+            info.wait_entered_at
+            for info in live.values()
+            if info.phase is SlotPhase.WAIT
+            and not info.marked_for_abort
+            and info.wait_entered_at is not None
+        ]
+        if waits:
+            due.append(min(waits) + params.t_d_us + 1)
+    if (
+        pipeline_nonempty
+        and state.current_sender is None
+        and state.last_activation_at is not None
+        and len(live) < params.max_slots
+    ):
+        last = live.get(state.last_activated_slot)
+        if last is None or last.entered_send_once:
+            due.append(state.last_activation_at + params.t_d_us)
+    if not due:
+        return None
+    # a rule already due fires at the next tick: never hand back the past
+    return max(min(due), now + 1)
 
 
 def logged_tick(state: SchedulerState, now: int, pipeline_nonempty: bool) -> list[Action]:

@@ -40,7 +40,6 @@ from .scheduler import (
     Strategy,
     TimingParams,
     logged_tick,
-    tick_interval_us,
 )
 from .slot import SlotPhase
 
@@ -54,6 +53,12 @@ _SEND_END = 3
 _COMMIT_DONE = 4
 _RATE_CHANGE = 5
 _SEED = 6  # forced activation of a pre-warmed pool
+
+
+def tick_interval_us(t_d_us: int) -> int:
+    """The fixed tick grid of ``SimConfig(tick_ms=None)``: a tenth of
+    the interval, capped at 50 ms and floored at 100 us."""
+    return max(100, min(t_d_us // 10, 50_000))
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,13 @@ class TestShutdown:
                 status, report = await post_lines(gw.ingest_port, lines_for(range(200)))
                 assert (status, report["accepted"]) == (200, 200)
                 assert await gw.quiesce(timeout_s=20)
+            # and no tick is left pending or armed to fire after stop
+            loop = asyncio.get_running_loop()
+            assert not [
+                handle
+                for handle in (*loop._ready, *loop._scheduled)
+                if not handle.cancelled() and getattr(handle._callback, "__self__", None) is gw
+            ]
 
         asyncio.run(go())
         assert seen == []
@@ -348,6 +355,43 @@ class TestSendWindow:
         asyncio.run(go())
 
 
+class TestEventTicks:
+    def test_idle_gateway_ticks_on_reports_and_dispatches_at_once(self, monkeypatch):
+        # an idle lone slot reports ready, send end and commit ack once
+        # per window and no timed rule is due, so the scheduler ticks
+        # a few times per window, not every t_d/10; and a slot that
+        # turns ready while nobody sends is dispatched at once, not at
+        # the next tick of a timer
+        calls = []
+
+        def counted(state, now, pipeline_nonempty):
+            calls.append(now)
+            return real_tick(state, now, pipeline_nonempty)
+
+        real_tick = gateway.tick
+        monkeypatch.setattr(gateway, "tick", counted)
+
+        async def go():
+            async with live_gateway(n_segments=1, interval_ms=200) as (gw, _):
+                await asyncio.sleep(1.0)
+                windows = sum(
+                    1 for slot in gw.audit_slots for tr in slot.history if tr.dst is SlotPhase.SEND
+                )
+                lags = [
+                    b.at - a.at
+                    for slot in gw.audit_slots
+                    for a, b in zip(slot.history, slot.history[1:])
+                    if a.dst is SlotPhase.WAIT and b.dst is SlotPhase.SEND
+                ]
+            return windows, lags
+
+        windows, lags = asyncio.run(go())
+        assert windows >= 3, windows
+        # three reports per window, each worth one tick, and the start
+        assert len(calls) <= 3 * windows + 2, (len(calls), windows)
+        assert sorted(lags)[len(lags) // 2] < 2_000, lags
+
+
 class TestFailureRecovery:
     def test_mid_send_crash_rows_survive_exactly_once(self):
         async def go():
@@ -373,11 +417,19 @@ class TestFailureRecovery:
 
                 # wave B: kill the daemon early in a send window, long
                 # before the commit boundary can race the shutdown. The
-                # lone slot idles through whole windows, so post while
-                # it waits for dispatch: the next window then drains
-                # wave B at its start, not at some random age
+                # lone slot idles through whole windows and is
+                # dispatched in the loop turn after it turns ready, so
+                # post right after a fresh SEND edge: that window then
+                # drains wave B at its start, not at some random age
+                def fresh_send():
+                    now = gw.now()
+                    return any(
+                        r.slot.phase is SlotPhase.SEND and now - r.slot.history[-1].at < 10_000
+                        for r in gw.runners.values()
+                    )
+
                 for _ in range(2000):
-                    if any(r.slot.phase is SlotPhase.WAIT for r in gw.runners.values()):
+                    if fresh_send():
                         break
                     await asyncio.sleep(0.001)
                 await post_lines(gw.ingest_port, lines_for(range(1000, 5000)))

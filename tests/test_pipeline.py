@@ -254,6 +254,20 @@ class TestRowFifoWaiter:
 
         asyncio.run(go())
 
+    def test_on_fill_hears_each_end_of_an_empty_stretch(self):
+        fills = []
+        q = RowFifo(capacity=4, on_fill=lambda: fills.append(q.approx_len()))
+        q.extend(["a", "b"])  # called at the first row only
+        q.requeue(["c"])  # the queue was not empty
+        assert fills == [1]
+        q.drain_up_to(10)
+        q.requeue([])  # nothing put back
+        q.requeue(["d", "e"])
+        assert fills == [1, 2]
+        q.drain_up_to(10)
+        q.enqueue("f")
+        assert fills == [1, 2, 1]
+
     def test_one_waiter_at_a_time(self):
         async def go():
             q = RowFifo()

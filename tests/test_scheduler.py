@@ -1,6 +1,7 @@
 """Scheduler decisions: the pool-size formula, sender selection, the
 latency model, and tick-level behavior of every tuning rule."""
 
+import copy
 import math
 
 import pytest
@@ -19,11 +20,12 @@ from gateflow.scheduler import (
     TimingParams,
     end_to_end_latency_model,
     logged_tick,
+    next_deadline,
     optimal_slots,
     select_sender,
     tick,
-    tick_interval_us,
 )
+from gateflow.simulator import tick_interval_us
 from gateflow.slot import Initiator, PhaseError, SlotPhase
 
 MS = 1000  # microseconds per millisecond
@@ -563,6 +565,152 @@ class TestDecisionReplay:
                 log.entries[i] = type(entry)(entry.now, entry.pipeline_nonempty, ())
         with pytest.raises(AssertionError):
             log.replay(params)
+
+
+def sending_pair():
+    """Slot a sends since 10 ms; slot b waits since 20 ms."""
+    st_ = mk_state(cycle_ms=10_000)
+    st_.ticked_once = True
+    a = st_.note_activated(0)
+    b = st_.note_activated(0)
+    st_.note_ready(a, 0)
+    st_.note_dispatched(a, 10 * MS)
+    st_.note_ready(b, 20 * MS)
+    return st_, a, b
+
+
+class TestNextDeadline:
+    def test_rule_6_gives_the_cycle_boundary(self):
+        st_ = mk_state(cycle_ms=1000)
+        a = st_.note_activated(0)
+        tick(st_, 0, False)
+        st_.note_ready(a, 0)
+        st_.note_dispatched(a, 0)
+        assert next_deadline(st_, 0, True) == 1000 * MS
+        st_.note_send_ended(a, 0, 100 * MS)
+        st_.note_commit_acked(a, 150 * MS)
+        # a boundary tick moves the cycle on
+        tick(st_, 1000 * MS, False)
+        assert next_deadline(st_, 1000 * MS, False) == 2000 * MS
+
+    def test_rule_5_gives_the_oldest_waiter_past_t_d(self):
+        st_, a, b = sending_pair()
+        c = st_.note_activated(0)
+        st_.note_ready(c, 30 * MS)
+        # b's wait is the first to pass t_d, by one microsecond
+        assert next_deadline(st_, 30 * MS, False) == 120 * MS + 1
+        assert tick(st_, 120 * MS, False) == []
+        assert tick(st_, 120 * MS + 1, False) == [AbortSlot(b, ABORT_IDLE_WAIT)]
+        assert next_deadline(st_, 120 * MS + 1, False) == 130 * MS + 1  # now c's
+
+    def test_a_second_overdue_waiter_is_due_at_once(self):
+        # rule 5 trims one waiter per tick: the other, already overdue,
+        # is due right after now, never at a past instant
+        st_, a, b = sending_pair()
+        c = st_.note_activated(0)
+        st_.note_ready(c, 30 * MS)
+        assert tick(st_, 200 * MS, False) == [AbortSlot(b, ABORT_IDLE_WAIT)]
+        assert next_deadline(st_, 200 * MS, False) == 200 * MS + 1
+        assert tick(st_, 200 * MS + 1, False) == [AbortSlot(c, ABORT_IDLE_WAIT)]
+
+    def test_rule_5_ignores_marked_slots(self):
+        st_, a, b = sending_pair()
+        st_.slots[b].marked_for_abort = True
+        assert next_deadline(st_, 30 * MS, False) == 10_000 * MS
+
+    def test_rule_5_ignores_a_lone_slot(self):
+        st_ = mk_state(cycle_ms=10_000)
+        st_.ticked_once = True
+        a = st_.note_activated(0)
+        st_.note_ready(a, 0)
+        assert next_deadline(st_, 0, False) == 10_000 * MS
+        assert tick(st_, 500 * MS, False) == [DispatchSender(a)]  # never trimmed
+
+    def rule_3_state(self):
+        """a's send ended at 170 ms, a slot activated at 150 ms."""
+        st_ = mk_state(cycle_ms=10_000)
+        st_.ticked_once = True
+        a = st_.note_activated(150 * MS)
+        st_.note_ready(a, 150 * MS)
+        st_.note_dispatched(a, 160 * MS)
+        st_.note_send_ended(a, 5, 170 * MS)
+        return st_, a
+
+    def test_rule_3_gives_the_end_of_the_growth_spacing(self):
+        st_, _ = self.rule_3_state()
+        assert next_deadline(st_, 170 * MS, True) == 250 * MS
+        assert tick(st_, 249 * MS, True) == []
+        assert tick(st_, 250 * MS, True) == [ActivateSlot()]
+
+    def test_rule_3_only_while_data_waits_and_no_sender_is_live(self):
+        st_, a = self.rule_3_state()
+        assert next_deadline(st_, 170 * MS, False) == 10_000 * MS  # no data
+        st_.note_commit_acked(a, 180 * MS)
+        st_.note_ready(a, 190 * MS)
+        st_.note_dispatched(a, 190 * MS)
+        assert next_deadline(st_, 190 * MS, True) == 10_000 * MS  # a sends
+
+    def test_rule_3_waits_on_rule_4_and_the_cap_without_a_timer(self):
+        # a growth that rule 4 or max_slots blocks can only unblock on
+        # a report: a deadline in the past would make an engine spin
+        st_, _ = self.rule_3_state()
+        b = st_.note_activated(170 * MS)  # still connecting
+        assert tick(st_, 400 * MS, True) == []
+        assert next_deadline(st_, 400 * MS, True) == 10_000 * MS
+        st_.note_retired(b, 410 * MS)
+        st_.params.max_slots = 1
+        assert next_deadline(st_, 410 * MS, True) == 10_000 * MS
+
+    def test_nothing_due_when_idle(self):
+        st_ = mk_state()
+        assert next_deadline(st_, 0, True) is None  # before the first tick
+        assert tick(st_, 0, False) == [ActivateSlot()]
+        a = st_.note_activated(0)
+        st_.note_retired(a, 5 * MS)
+        # no slot, and no data for the pool to grow for
+        assert next_deadline(st_, 5 * MS, False) is None
+        assert next_deadline(st_, 5 * MS, True) == 100 * MS
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 150 * MS), st.booleans()),
+            max_size=60,
+        )
+    )
+    def test_deadline_is_after_now_and_nothing_acts_before_it(self, steps):
+        # random legal runs: after every tick (and the reports its
+        # actions lead to) the deadline lies strictly after now, and a
+        # tick at any earlier instant, with no report, emits nothing
+        st_ = mk_state(cycle_ms=300, max_slots=4)
+        now = 0
+        for op, dt, flag in steps:
+            now += dt
+            phases = {sid: s.phase for sid, s in st_.slots.items()}
+
+            def first(phase):
+                return next((sid for sid, p in phases.items() if p is phase), None)
+
+            if op == 0:
+                for action in tick(st_, now, flag):
+                    if isinstance(action, ActivateSlot):
+                        st_.note_activated(now)
+                    elif isinstance(action, DispatchSender):
+                        st_.note_dispatched(action.slot_id, now)
+                due = next_deadline(st_, now, flag)
+                if due is not None:
+                    assert due > now
+                probe = now + 3_600_000 * MS if due is None else due - 1
+                if probe > now:
+                    assert tick(copy.deepcopy(st_), probe, flag) == []
+            elif op == 1 and first(SlotPhase.CONNECT) is not None:
+                st_.note_ready(first(SlotPhase.CONNECT), now)
+            elif op == 2 and first(SlotPhase.SEND) is not None:
+                st_.note_send_ended(first(SlotPhase.SEND), 5 if flag else 0, now)
+            elif op == 3 and first(SlotPhase.COMMIT) is not None:
+                st_.note_commit_acked(first(SlotPhase.COMMIT), now)
+            elif op == 4 and st_.slots:
+                st_.note_retired(min(st_.slots), now)
 
 
 class TestEstimates:

@@ -10,9 +10,13 @@ import pytest
 from gateflow.scheduler import (
     ABORT_IDLE_WAIT,
     ABORT_NO_DATA_CYCLE,
+    SchedulerState,
     Strategy,
+    TickRecord,
     TimingParams,
+    next_deadline,
     optimal_slots,
+    tick,
 )
 from gateflow.simulator import (
     SimConfig,
@@ -371,27 +375,32 @@ PINNED_DIGESTS = {
 }
 
 
+def pinned_grid_trace(strategy, poisson, cycle_ms):
+    # a rate step down (idle-wait trims), a silent stretch and a
+    # trickle, under dispatch cycles short enough for rule 6 to mark,
+    # cancel and retire slots many times
+    return run_sim(
+        SimConfig(
+            t_d_ms=100,
+            t_s_ms=50,
+            commit_fixed_ms=50,
+            commit_per_row_us=1000,
+            tick_ms=1,
+            arrival=((0, 1500), (700, 400), (1300, 0), (1900, 40)),
+            duration_ms=3000,
+            dispatch_cycle_ms=cycle_ms,
+            strategy=Strategy(strategy),
+            poisson=poisson,
+            seed=3,
+        )
+    )
+
+
 class TestPinnedDecisions:
     def test_grid_traces_match_pinned_digests(self):
-        # a rate step down (idle-wait trims), a silent stretch and a
-        # trickle, under dispatch cycles short enough for rule 6 to
-        # mark, cancel and retire slots many times
         kinds = Counter()
         for (strategy, poisson, cycle_ms), digest in PINNED_DIGESTS.items():
-            cfg = SimConfig(
-                t_d_ms=100,
-                t_s_ms=50,
-                commit_fixed_ms=50,
-                commit_per_row_us=1000,
-                tick_ms=1,
-                arrival=((0, 1500), (700, 400), (1300, 0), (1900, 40)),
-                duration_ms=3000,
-                dispatch_cycle_ms=cycle_ms,
-                strategy=Strategy(strategy),
-                poisson=poisson,
-                seed=3,
-            )
-            trace = run_sim(cfg)
+            trace = pinned_grid_trace(strategy, poisson, cycle_ms)
             assert trace.digest() == digest, (strategy, poisson, cycle_ms)
             trace.decision_log.replay(
                 TimingParams(t_d_us=100 * 1000, dispatch_cycle_us=cycle_ms * 1000)
@@ -400,3 +409,39 @@ class TestPinnedDecisions:
             kinds.update(f"retired:{e.reason}" for e in trace.events if e.kind == "retired")
         assert kinds["marked"] and kinds["mark_cancelled"]
         assert kinds[f"retired:{ABORT_IDLE_WAIT}"] and kinds[f"retired:{ABORT_NO_DATA_CYCLE}"]
+
+
+class TestDeadlinesCoverTheGrid:
+    def test_no_timed_decision_falls_before_its_deadline(self):
+        # every tick of the 1 ms grid that acts with no report since the
+        # tick before it (and the same data flag) acts on the clock
+        # alone; next_deadline, taken right after that earlier tick,
+        # must name an instant no later than it, so ticking on reports
+        # and deadlines misses no decision the grid makes
+        timed = Counter()
+        for strategy, poisson, cycle_ms in PINNED_DIGESTS:
+            trace = pinned_grid_trace(strategy, poisson, cycle_ms)
+            state = SchedulerState(
+                TimingParams(t_d_us=100 * 1000, dispatch_cycle_us=cycle_ms * 1000)
+            )
+            prev, due, reported = None, None, False
+            for entry in trace.decision_log.entries:
+                if not isinstance(entry, TickRecord):
+                    name, args = entry
+                    getattr(state, name)(*args)
+                    reported = True
+                    continue
+                assert tuple(tick(state, entry.now, entry.pipeline_nonempty)) == entry.actions
+                if (
+                    prev is not None
+                    and entry.actions
+                    and not reported
+                    and prev.pipeline_nonempty == entry.pipeline_nonempty
+                ):
+                    assert due is not None and due <= entry.now, (strategy, poisson, cycle_ms, entry)
+                    timed.update(getattr(a, "reason", type(a).__name__) for a in entry.actions)
+                prev, reported = entry, False
+                due = next_deadline(state, entry.now, entry.pipeline_nonempty)
+        # rules 5 and 6 both acted on the clock in the grid (its growth
+        # always follows a send end, a report)
+        assert timed[ABORT_IDLE_WAIT] and timed[ABORT_NO_DATA_CYCLE], timed
