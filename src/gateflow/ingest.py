@@ -24,13 +24,20 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
 from .metrics import Counters
 from .pipeline import EnqueueResult, RowFifo
-from .records import IngestError, Schema, parse_record
+from .records import IngestError, Record, Schema, parse_record
 
 MAX_BODY_BYTES = 8 * 1024 * 1024
 ERROR_LOG_LIMIT = 1000
+
+_first = itemgetter(0)
+# builds a Record from a (device_id, line, seq) tuple in C, as
+# ``Record._make`` does, without a Python call per row
+_new_record = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -67,28 +74,61 @@ class LineIngestor:
         self.next_seq = 0
 
     def handle_post(self, body: str) -> IngestReport:
+        """Validate a body and queue its accepted rows, in body order,
+        until the queue refuses one. A run of lines the schema's
+        pattern matches goes to the queue with one ``extend``; every
+        other line goes alone through ``parse_record``. The outcome is
+        the one handling each line in turn gives: rejected lines before
+        the first refused row are logged with their line numbers, and
+        that row's line and every line after it are backpressured."""
         accepted = rejected = backpressured = 0
-        lines = body.splitlines()
         schema = self.schema
-        enqueue = self.queue.enqueue
+        run_end = schema.run_end
+        queue = self.queue
         seq = self.next_seq
         now_us = monotonic_us()
-        for line_number, line in enumerate(lines, start=1):
+        line_number = 0  # lines handled so far
+        pos = 0
+        size = len(body)
+        while pos < size:
+            end = run_end(body, pos)
+            if end > pos:
+                lines = body[pos:end].split("\n")
+                lines.pop()  # the empty tail after the run's last "\n"
+                n = len(lines)
+                devices = map(_first, map(str.partition, lines, repeat(",")))
+                taken = queue.extend(map(
+                    _new_record, repeat(Record), zip(devices, lines, range(seq, seq + n))
+                ))
+                seq += taken
+                accepted += taken
+                if taken < n:
+                    # stop at the first full-queue signal so the
+                    # backpressured lines are exactly the tail of the
+                    # body and the producer can re-post them without
+                    # duplicates
+                    backpressured = n - taken + len(body[end:].splitlines())
+                    break
+                line_number += n
+                pos = end
+                continue
+            # one line outside the pattern, up to its first line break
+            # of any kind that ``str.splitlines`` knows
+            piece = body[pos:body.find("\n", pos) + 1 or size].splitlines(True)[0]
+            line_number += 1
             parsed = parse_record(
-                line, schema, seq=seq, line_number=line_number, now_us=now_us
+                piece.splitlines()[0], schema, seq=seq, line_number=line_number, now_us=now_us
             )
             if isinstance(parsed, IngestError):
                 self.error_log.append(parsed)
                 rejected += 1
-            elif enqueue(parsed) is EnqueueResult.ACCEPTED:
+            elif queue.enqueue(parsed) is EnqueueResult.ACCEPTED:
                 seq += 1
                 accepted += 1
             else:
-                # stop at the first full-queue signal so the
-                # backpressured lines are exactly the tail of the body
-                # and the producer can re-post them without duplicates
-                backpressured = len(lines) - line_number + 1
+                backpressured = len(body[pos:].splitlines())
                 break
+            pos += len(piece)
         self.next_seq = seq
         return IngestReport(accepted, rejected, backpressured)
 

@@ -31,6 +31,7 @@ import sys
 import threading
 from collections import deque
 from enum import Enum
+from itertools import islice
 from typing import Any, Callable, Iterable
 
 
@@ -190,10 +191,11 @@ class RowFifo:
 
     The live gateway parses, enqueues and drains on a single asyncio
     thread, where the compare-and-swap machinery of ``LockFreeQueue``
-    buys nothing and costs most of the per-row queue time. Only one
-    slot sends at a time, so the queue keeps at most one waiter: a
-    future that the next ``enqueue`` or ``requeue`` resolves. That
-    same first item of a non-empty stretch also calls ``on_fill``.
+    buys nothing and costs most of the per-row queue time, and a run
+    of a post's rows arrives with one ``extend``. Only one slot sends
+    at a time, so the queue keeps at most one waiter: a future that
+    the next ``enqueue``, ``extend`` or ``requeue`` resolves. That same
+    first item of a non-empty stretch also calls ``on_fill``.
     """
 
     def __init__(self, capacity: int | None = None,
@@ -217,8 +219,21 @@ class RowFifo:
             self._filled()
         return EnqueueResult.ACCEPTED
 
-    # the same loop over ``self.enqueue``
-    extend = LockFreeQueue.extend
+    def extend(self, items: Iterable[Any]) -> int:
+        """Enqueue items in order until exhausted or the queue is full;
+        returns how many went in. One ``deque.extend`` takes them, so
+        unlike ``enqueue`` it does not check each for None. On an empty
+        queue ``_filled`` runs once, after the first item."""
+        queue = self._items
+        n = len(queue)
+        fitting = islice(items, max(0, self._limit - n))
+        if not n:
+            for first in fitting:
+                queue.append(first)
+                self._filled()
+                break
+        queue.extend(fitting)
+        return len(queue) - n
 
     def requeue(self, items: list) -> None:
         """Put already-admitted items back at the head, in order.

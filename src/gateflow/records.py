@@ -18,6 +18,11 @@ validation is strict about spelling, not only about value:
 Whitespace, ``_`` digit separators, non-ASCII digits, ``nan``, ``inf``
 and literals that overflow a double are rejected, although Python's
 ``int()`` and ``float()`` would take them.
+
+A schema also compiles one pattern for runs of whole lines, so a body
+can be validated a run at a time: every line it matches is one that
+``parse_record`` accepts, and lines it does not match are left to
+``parse_record``.
 """
 
 from __future__ import annotations
@@ -89,6 +94,19 @@ _CHECKS: dict[str, Callable[[str], object] | None] = {
     "str": None,
 }
 
+# every character ``str.splitlines`` ends a line at; no field of a run
+# holds one, so each "\n"-ended line of a run is one line of the body
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# per column kind, a spelling that passes its check: a strict subset,
+# so a float with an exponent, or with more integer digits than a
+# finite double can hold, is left to the check
+_RUN_FIELDS = {
+    "int": r"[+-]?[0-9]+",
+    "float": r"[+-]?(?:[0-9]{1,308}(?:\.[0-9]*)?|\.[0-9]+)",
+    "str": f"[^,{_LINE_BREAKS}]*",
+}
+_RUN_DEVICE = f"(?!BEGIN|EOF)[^, {_LINE_BREAKS}]+"
+
 
 class Schema:
     """Ordered value columns following the two fixed leading columns."""
@@ -108,6 +126,16 @@ class Schema:
             if _CHECKS[kind] is not None
         ]
         self.field_count = 2 + len(columns)
+        line = ",".join([_RUN_DEVICE, "[0-9]+"] + [_RUN_FIELDS[k] for _, k in columns])
+        self._run = re.compile(f"(?:{line}\n)+")
+
+    def run_end(self, text: str, pos: int) -> int:
+        """End of the longest run of "\\n"-ended lines of ``text`` from
+        ``pos`` that this schema's pattern matches, or ``pos`` when the
+        line at ``pos`` does not match. Every line of the run is one
+        line of ``text.splitlines()`` that ``parse_record`` accepts."""
+        match = self._run.match(text, pos)
+        return match.end() if match else pos
 
     @classmethod
     def parse_spec(cls, spec: str) -> "Schema":

@@ -10,6 +10,11 @@ Wire protocol, one connection per slot-segment pair, newline framed:
     server: ERROR <txn-id> <reason>   (duplicate-txn | unknown-txn |
                                        protocol-order)
 
+A line that is exactly ``EOF`` or starts with ``BEGIN `` is a control
+line; every other non-empty line is a row. While a transaction is
+open its rows are kept as the bytes they arrived in, and ``EOF``
+decodes and splits them once; empty lines are not rows.
+
 Rows become query-visible atomically when the commit latency elapses,
 never row-by-row; a connection dropped before EOF aborts its
 transaction and nothing from it is ever visible. The latency model
@@ -21,10 +26,12 @@ commit_per_row_us per row.
 from __future__ import annotations
 
 import asyncio
+import re
 import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import Optional
 
 from .config import SegmentConfig
@@ -32,6 +39,43 @@ from .config import SegmentConfig
 ERR_DUPLICATE = "duplicate-txn"
 ERR_UNKNOWN = "unknown-txn"
 ERR_ORDER = "protocol-order"
+
+# a control line with the newline before and after it
+_CONTROL = re.compile(rb"\n(?:EOF|BEGIN [^\n]*)\n")
+
+
+class WireFramer:
+    """Cuts one connection's byte stream into control lines and the
+    runs of other lines between them.
+
+    ``feed`` takes the bytes of one read and returns, in stream order,
+    ``(True, line)`` for each control line, without its newline, and
+    ``(False, run)`` for each run of other lines, every one of them
+    ending in its newline. Only whole lines come out; a partial last
+    line waits for the next read.
+    """
+
+    def __init__(self) -> None:
+        # unconsumed bytes, from the newline that ended the last whole
+        # line on, so a control line always has a newline before it
+        self._pending = b"\n"
+
+    def feed(self, data: bytes) -> list[tuple[bool, bytes]]:
+        buf = self._pending + data
+        last = buf.rfind(b"\n")  # buf[0] is a newline, so last >= 0
+        self._pending = buf[last:]
+        frames: list[tuple[bool, bytes]] = []
+        pos = 0  # at the newline that ends the last line consumed
+        while pos < last:
+            match = _CONTROL.search(buf, pos, last + 1)
+            start = match.start() if match else last
+            if start > pos:
+                frames.append((False, buf[pos + 1:start + 1]))
+            if match is None:
+                break
+            pos = match.end() - 1
+            frames.append((True, buf[start + 1:pos]))
+        return frames
 
 
 @dataclass(frozen=True)
@@ -65,19 +109,29 @@ class TxnState(str, Enum):
 class SegmentTxn:
     """One transaction a segment has seen: BEGUN while its rows arrive,
     then COMMITTED on EOF or ABORTED when its connection drops first.
-    ``rows`` holds the received rows until the commit publishes them."""
+    ``runs`` holds the received rows, as the byte runs they arrived in,
+    until the commit takes them."""
 
     txn_id: str
     state: TxnState = TxnState.BEGUN
-    rows: list[str] = field(default_factory=list)
+    runs: list[bytes] = field(default_factory=list)
+
+    def take_rows(self) -> list[str]:
+        """The received rows, decoded and split once; empty lines are
+        not rows. The transaction keeps none of them."""
+        text = b"".join(self.runs).decode("utf-8", errors="replace")
+        self.runs = []
+        return list(filter(None, text.split("\n")))
 
 
 class SegmentStore:
     """Committed rows of one segment.
 
-    All mutation happens inside ``publish`` under one lock, so a reader
-    sees a transaction's rows either not at all or completely. Probe
-    methods may be called from any thread.
+    ``publish`` adds a transaction's rows under one lock, and every
+    reader takes the same lock, so a reader sees a transaction's rows
+    either not at all or completely. The latest-row index is built on
+    read: ``visibility_probe`` first folds in the rows published since
+    the last probe. Probe methods may be called from any thread.
     """
 
     def __init__(self, segment_id: str, dump_path: str | None = None) -> None:
@@ -85,6 +139,7 @@ class SegmentStore:
         self._lock = threading.Lock()
         self._lines: list[str] = []
         self._latest: dict[str, tuple[int, tuple[str, ...]]] = {}
+        self._indexed = 0  # leading lines folded into _latest
         self._txn_rows: dict[str, int] = {}
         self._dump = open(dump_path, "a", encoding="utf-8") if dump_path else None
         self.last_publish_us = 0  # monotonic stamp of the latest commit
@@ -93,12 +148,6 @@ class SegmentStore:
         """Make a transaction's rows visible, all at once."""
         with self._lock:
             self._lines.extend(rows)
-            for line in rows:
-                fields = line.split(",")
-                device, ts = fields[0], int(fields[1])
-                cur = self._latest.get(device)
-                if cur is None or ts >= cur[0]:
-                    self._latest[device] = (ts, tuple(fields[2:]))
             self._txn_rows[txn_id] = len(rows)
             self.last_publish_us = time.monotonic_ns() // 1000
             if self._dump is not None:
@@ -106,9 +155,22 @@ class SegmentStore:
                 self._dump.flush()
 
     def visibility_probe(self, device_id: str) -> Optional[tuple[int, tuple[str, ...]]]:
-        """Latest committed (timestamp, values) for a device, or None."""
+        """Latest committed (timestamp, values) for a device, or None.
+        Of rows with equal timestamps the later commit wins; a row
+        without an integer timestamp is never the latest."""
         with self._lock:
-            return self._latest.get(device_id)
+            latest = self._latest
+            for line in islice(self._lines, self._indexed, None):
+                fields = line.split(",")
+                try:
+                    ts = int(fields[1])
+                except (IndexError, ValueError):
+                    continue
+                cur = latest.get(fields[0])
+                if cur is None or ts >= cur[0]:
+                    latest[fields[0]] = (ts, tuple(fields[2:]))
+            self._indexed = len(self._lines)
+            return latest.get(device_id)
 
     def txn_rows(self, txn_id: str) -> int:
         """Committed row count of a transaction; 0 while uncommitted."""
@@ -180,15 +242,23 @@ class SegmentDaemon:
             writer.write(text.encode() + b"\n")
 
         try:
-            buf = b""
+            framer = WireFramer()
             while True:
                 chunk = await reader.read(65536)
                 if not chunk:
                     break
-                buf += chunk
-                *lines, buf = buf.split(b"\n")
-                for raw in lines:
-                    line = raw.decode("utf-8", errors="replace")
+                for control, data in framer.feed(chunk):
+                    if not control:
+                        if active is not None:
+                            active.runs.append(data)
+                            continue
+                        reason = ERR_ORDER if last_txn != "-" else ERR_UNKNOWN
+                        for raw in data.split(b"\n"):
+                            if raw:
+                                reply(f"ERROR {last_txn} {reason}")
+                                await writer.drain()
+                        continue
+                    line = data.decode("utf-8", errors="replace")
                     if line.startswith("BEGIN "):
                         parts = line.split(" ")
                         if len(parts) != 3 or not parts[1] or not parts[2]:
@@ -211,28 +281,20 @@ class SegmentDaemon:
                         await asyncio.sleep(self.latency.begin_s())
                         reply(f"READY {txn_id}")
                         await writer.drain()
-                    elif line == "EOF":
+                    else:  # EOF
                         if active is None:
                             reply(f"ERROR {last_txn} {ERR_ORDER}")
                             await writer.drain()
                             continue
                         txn = active
-                        n = len(txn.rows)
+                        rows = txn.take_rows()
                         async with self._commit_lock:
-                            await asyncio.sleep(self.latency.commit_s(n))
-                            self.store.publish(txn.txn_id, txn.rows)
+                            await asyncio.sleep(self.latency.commit_s(len(rows)))
+                            self.store.publish(txn.txn_id, rows)
                         txn.state = TxnState.COMMITTED
-                        txn.rows = []  # the store owns them now
                         active = None
-                        reply(f"COMMITTED {txn.txn_id} {n}")
+                        reply(f"COMMITTED {txn.txn_id} {len(rows)}")
                         await writer.drain()
-                    elif line:
-                        if active is None:
-                            reason = ERR_ORDER if last_txn != "-" else ERR_UNKNOWN
-                            reply(f"ERROR {last_txn} {reason}")
-                            await writer.drain()
-                            continue
-                        active.rows.append(line)
         except (ConnectionError, OSError):
             pass  # peer vanished; the finally block aborts its txn
         finally:

@@ -191,6 +191,41 @@ class TestEndToEnd:
 
         asyncio.run(go())
 
+    def test_route_cache_stays_bounded_and_routes_like_route_record(self, monkeypatch):
+        # more distinct devices than the cache holds: it never grows
+        # past its bound, and every row still lands where route_record
+        # sends it
+        bound = 16
+        monkeypatch.setattr(gateway, "ROUTE_CACHE_SIZE", bound)
+        sizes = []
+        fill = gateway.RouteCache.__missing__
+
+        def observed_missing(cache, device_id):
+            idx = fill(cache, device_id)
+            sizes.append(len(cache))
+            return idx
+
+        monkeypatch.setattr(gateway.RouteCache, "__missing__", observed_missing)
+
+        async def go():
+            async with live_gateway(n_segments=3) as (gw, daemons):
+                lines = lines_for(range(600), devices=5 * bound)
+                for start in range(0, 600, 150):
+                    status, report = await post_lines(gw.ingest_port, lines[start:start + 150])
+                    assert (status, report["accepted"]) == (200, 150)
+                assert await gw.quiesce(timeout_s=20)
+                assert len(gw.routes) <= bound
+                committed = []
+                for idx, d in enumerate(daemons):
+                    for line in d.store.committed_lines():
+                        assert route_record(line.split(",")[0], 3) == idx
+                        committed.append(line)
+                assert sorted(committed) == sorted(lines)
+
+        asyncio.run(go())
+        assert len(sizes) > 5 * bound  # the cache was refilled
+        assert max(sizes) <= bound
+
     def test_slot_initiates_only_the_commit_edge(self):
         async def go():
             async with live_gateway(n_segments=1) as (gw, _):

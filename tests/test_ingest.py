@@ -3,14 +3,16 @@
 import asyncio
 import json
 from contextlib import asynccontextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gateflow.ingest import IngestServer, LineIngestor, MAX_BODY_BYTES
+import gateflow.ingest as ingest_mod
+from gateflow.ingest import IngestReport, IngestServer, LineIngestor, MAX_BODY_BYTES, monotonic_us
 from gateflow.metrics import COUNTER_KEYS, Counters
-from gateflow.pipeline import RowFifo
+from gateflow.pipeline import EnqueueResult, RowFifo
 from gateflow.records import IngestError, Schema, parse_record
 
 SCHEMA = Schema.parse_spec("value:float")
@@ -115,6 +117,147 @@ class TestHandlePost:
             isinstance(parse_record(ln, SCHEMA), IngestError) for ln in lines
         )
         assert ingestor().handle_post("\n".join(lines)).rejected == expected
+
+
+def per_line_handle_post(ing: LineIngestor, body: str) -> IngestReport:
+    """The reference: each line of the body in turn through
+    ``parse_record`` and ``enqueue``, stopping at the first refusal."""
+    accepted = rejected = backpressured = 0
+    lines = body.splitlines()
+    seq = ing.next_seq
+    now_us = monotonic_us()
+    for line_number, line in enumerate(lines, start=1):
+        parsed = ingest_mod.parse_record(
+            line, ing.schema, seq=seq, line_number=line_number, now_us=now_us
+        )
+        if isinstance(parsed, IngestError):
+            ing.error_log.append(parsed)
+            rejected += 1
+        elif ing.queue.enqueue(parsed) is EnqueueResult.ACCEPTED:
+            seq += 1
+            accepted += 1
+        else:
+            backpressured = len(lines) - line_number + 1
+            break
+    ing.next_seq = seq
+    return IngestReport(accepted, rejected, backpressured)
+
+
+# spellings for every field position: valid for some column kinds,
+# invalid for others, and on either side of the run pattern's edge
+_VALUES = ["7", "-7", "+7", "007", "0", "3.5", ".5", "5.", ".", "1e3", "-2.5E-3",
+           "1e999", "9" * 309, "0" * 400 + "1", "\u0665", "nan", "inf", "1_0",
+           " 5", "", "x", "a b", "\t", "é"]
+_DEVICES = ["d1", "dev-2", "", "BEGIN", "BEGINx", "EOF", "EOFa", "xEOF", "a b",
+            "d\t1", "dé", "d\x00"]
+_VALID = {"int": ["7", "-3", "+0", "007"], "float": ["3.5", ".5", "5.", "-2", "007"],
+          "str": ["s", "", "a b"]}
+_BREAKS = ["\n", "\r", "\r\n", "\x85", "\u2028", "\x0b", "\x1c", "\u2029"]
+
+
+@st.composite
+def bodies(draw, schema: Schema):
+    """A body of valid lines, lines tripping each RejectReason, empty
+    lines and odd line breaks, with or without a final newline."""
+    parts = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["valid", "valid", "valid", "fields", "empty", "text"]))
+        if kind == "valid":
+            values = [draw(st.sampled_from(_VALID[k])) for _, k in schema.columns]
+            line = ",".join([draw(st.sampled_from(["d1", "dev-2", "xBEGIN"])),
+                             draw(st.sampled_from(["0", "1700000000"]))] + values)
+        elif kind == "fields":
+            # mostly one odd field at a time, so each can decide the line
+            count = schema.field_count + draw(st.sampled_from([0, 0, 0, -2, -1, 1]))
+            fields = [draw(st.sampled_from(["d1"] * 4 + _DEVICES)),
+                      draw(st.sampled_from(["1"] * 4 + ["-1", "+5", "5.0", "\u0665", ""]))]
+            fields += [draw(st.sampled_from(_VALUES)) for _ in range(max(0, count - 2))]
+            line = ",".join(fields[:max(1, count)])
+        elif kind == "empty":
+            line = ""
+        else:
+            line = draw(st.text(alphabet=",.d1e5 \r\n\x85\u2028", max_size=8))
+        parts.append(line + draw(st.sampled_from(_BREAKS[:1] * 6 + _BREAKS)))
+    body = "".join(parts)
+    if draw(st.booleans()):
+        body = body[:-1] if body.endswith("\n") else body
+    return body
+
+
+_SCHEMAS = [Schema.parse_spec(spec) for spec in (
+    "v:int", "v:float", "v:str", "a:int,b:float", "a:str,b:int,c:float", "a:float,b:str",
+)]
+
+
+class TestBulkPathMatchesPerLine:
+    """The run-at-a-time ``handle_post`` against the per-line loop it
+    replaced: same report, error log, queued rows and ``next_seq``, at
+    every queue capacity from 0 to the body's line count. The bulk path
+    calls ``parse_record`` exactly on the lines the reference parses
+    that the run pattern does not match."""
+
+    @staticmethod
+    def outcome(handle, schema, body, capacity):
+        """(report, error log, queued rows, next_seq, line numbers
+        parsed); the reference's are cut down to the lines that, with
+        their line break, are not a run of the pattern."""
+        calls = []
+
+        def counting_parse(line, schema, **kw):
+            calls.append(kw["line_number"])
+            return parse_record(line, schema, **kw)
+
+        in_run = [schema.run_end(ln, 0) == len(ln) for ln in body.splitlines(True)]
+        ing = LineIngestor(RowFifo(capacity), schema)
+        ing.next_seq = 5
+        with mock.patch.object(ingest_mod, "parse_record", counting_parse):
+            report = handle(ing, body)
+        return (
+            report,
+            [(e.line_number, e.raw_line, e.reason) for e in ing.error_log],
+            [tuple(r) for r in ing.queue.drain_up_to(1 << 20)],
+            ing.next_seq,
+            calls if handle is LineIngestor.handle_post
+            else [n for n in calls if not in_run[n - 1]],
+        )
+
+    @given(data=st.data(), schema=st.sampled_from(_SCHEMAS))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_the_per_line_loop(self, data, schema):
+        body = data.draw(bodies(schema))
+        for capacity in range(len(body.splitlines()) + 1):
+            bulk = self.outcome(LineIngestor.handle_post, schema, body, capacity)
+            assert bulk == self.outcome(per_line_handle_post, schema, body, capacity)
+
+    def test_a_run_takes_one_extend_and_no_parse(self):
+        body = "".join(f"d{i},{i},{i}.5\n" for i in range(50))
+        bulk = self.outcome(LineIngestor.handle_post, SCHEMA, body, None)
+        assert bulk[0] == IngestReport(50, 0, 0)
+        assert bulk[4] == []  # no line needed parse_record
+        ing = ingestor()
+        with mock.patch.object(ing.queue, "extend", wraps=ing.queue.extend) as extend:
+            ing.handle_post(body)
+        assert extend.call_count == 1
+
+    @pytest.mark.parametrize("line", [
+        "d,1,1e3", "d,1,1.5e-3", "d,1," + "0" * 400 + "1", "d,1," + "9" * 308,
+        "d,1," + "9" * 309, "d,1,\u0665", "d 1,1,5", "BEGINx,1,5", "EOF,1,5", "d,1,5",
+    ])
+    def test_lines_outside_the_pattern_still_parse_once(self, line):
+        # valid or not, a line the pattern leaves out gets parse_record
+        bulk = self.outcome(LineIngestor.handle_post, SCHEMA, f"d,1,2.5\n{line}\n", None)
+        assert bulk == self.outcome(per_line_handle_post, SCHEMA, f"d,1,2.5\n{line}\n", None)
+
+    def test_run_pattern_holds_no_line_break(self):
+        # every character splitlines breaks at, but the "\n" that ends
+        # a run's lines, stays out of a run (all of them are below 0x3000)
+        breaks = [chr(c) for c in range(0x3000)
+                  if c != 10 and len(f"a{chr(c)}b".splitlines()) > 1]
+        assert len(breaks) == 9
+        schema = Schema.parse_spec("s:str")
+        for ch in breaks:
+            assert schema.run_end(f"d,1,a{ch}b\n", 0) == 0, repr(ch)
+            assert schema.run_end(f"d{ch},1,ab\n", 0) == 0, repr(ch)
 
 
 class Http:

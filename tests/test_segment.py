@@ -6,6 +6,8 @@ import time
 from contextlib import asynccontextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gateflow.config import SegmentConfig
 from gateflow.segment import (
@@ -15,6 +17,7 @@ from gateflow.segment import (
     LatencyModel,
     SegmentDaemon,
     TxnState,
+    WireFramer,
     start_cluster,
 )
 
@@ -375,6 +378,168 @@ class TestAtomicVisibility:
                 await c.close()
 
         asyncio.run(go())
+
+    def test_probe_follows_each_publish_and_ignores_an_abort(self):
+        # the index is built on read: probes between commits must see
+        # each commit whole, and an aborted transaction never
+        async def go():
+            async with daemon() as d:
+                c = await Wire.connect(d.bound_port)
+                assert d.store.visibility_probe("devA") is None
+                assert await c.txn("t1", ["devA,5,a5", "devB,3,b3", "devA,4,a4"]) \
+                    == "COMMITTED t1 3"
+                assert d.store.visibility_probe("devA") == (5, ("a5",))
+                assert d.store.visibility_probe("devB") == (3, ("b3",))
+                assert await c.txn("t2", ["devB,1,b1", "devA,9,a9", "devC,2,c2,x"]) \
+                    == "COMMITTED t2 3"
+                assert await c.txn("t3", ["devB,8,b8"]) == "COMMITTED t3 1"
+                assert d.store.visibility_probe("devA") == (9, ("a9",))
+                assert d.store.visibility_probe("devB") == (8, ("b8",))
+                assert d.store.visibility_probe("devC") == (2, ("c2", "x"))
+                await c.send("BEGIN t4 ingest")
+                assert await c.recv() == "READY t4"
+                await c.send("devA,100,lost", "devD,1,lost")
+                await c.close()
+                for _ in range(200):
+                    if d.txns["t4"].state is TxnState.ABORTED:
+                        break
+                    await asyncio.sleep(0.005)
+                assert d.txns["t4"].state is TxnState.ABORTED
+                assert d.store.visibility_probe("devA") == (9, ("a9",))
+                assert d.store.visibility_probe("devD") is None
+                c = await Wire.connect(d.bound_port)
+                assert await c.txn("t5", ["devD,7,d7"]) == "COMMITTED t5 1"
+                assert d.store.visibility_probe("devD") == (7, ("d7",))
+                assert d.store.visibility_probe("devA") == (9, ("a9",))
+                await c.close()
+
+        asyncio.run(go())
+
+    def test_rows_without_an_integer_timestamp_commit_but_are_never_latest(self):
+        async def go():
+            async with daemon() as d:
+                c = await Wire.connect(d.bound_port)
+                assert await c.txn("t1", ["devA,3,ok", "devA", "devA,soon,x"]) \
+                    == "COMMITTED t1 3"
+                assert d.store.visibility_probe("devA") == (3, ("ok",))
+                await c.close()
+
+        asyncio.run(go())
+
+
+def line_at_a_time(stream: bytes):
+    """The reference: the wire protocol applied to one whole line at a
+    time. Returns (replies, committed rows, state per transaction)."""
+    replies, committed, states = [], [], {}
+    active, rows, last = None, [], "-"
+    for raw in stream.split(b"\n")[:-1]:
+        line = raw.decode("utf-8", errors="replace")
+        if line.startswith("BEGIN "):
+            parts = line.split(" ")
+            if len(parts) != 3 or not parts[1] or not parts[2]:
+                replies.append(f"ERROR - {ERR_ORDER}")
+            elif parts[1] in states:
+                replies.append(f"ERROR {parts[1]} {ERR_DUPLICATE}")
+            elif active is not None:
+                replies.append(f"ERROR {parts[1]} {ERR_ORDER}")
+            else:
+                active, rows, last = parts[1], [], parts[1]
+                states[active] = TxnState.BEGUN
+                replies.append(f"READY {active}")
+        elif line == "EOF":
+            if active is None:
+                replies.append(f"ERROR {last} {ERR_ORDER}")
+            else:
+                committed.extend(rows)
+                states[active] = TxnState.COMMITTED
+                replies.append(f"COMMITTED {active} {len(rows)}")
+                active = None
+        elif line:
+            if active is None:
+                replies.append(f"ERROR {last} {ERR_ORDER if last != '-' else ERR_UNKNOWN}")
+            else:
+                rows.append(line)
+    if active is not None:
+        states[active] = TxnState.ABORTED
+    return replies, committed, states
+
+
+class ScriptedReader:
+    """Hands out the given chunks, one per read, then end of stream."""
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+
+    async def read(self, n):
+        await asyncio.sleep(0)
+        return self.chunks.pop(0) if self.chunks else b""
+
+
+class RecordingWriter:
+    def __init__(self):
+        self.out = bytearray()
+
+    def write(self, data):
+        self.out += data
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        pass
+
+
+_WIRE_LINES = [
+    b"BEGIN t1 ingest", b"BEGIN t2 ingest", b"BEGIN t1 ingest", b"BEGIN  ingest",
+    b"BEGIN a b c", b"BEGIN \xff\xfe ingest", b"BEGIN", b"BEGINX t3 ingest",
+    b"EOF", b"EOF", b"EOF\r", b"EOFX", b" EOF", b"", b"",
+    b"d1,1,2", b"d2,2,3", b"\xff\xfe,1,2", b"d,1,x\r", b"xBEGIN y", b"d,1,\xe2\x82",
+]
+
+
+@st.composite
+def client_streams(draw):
+    """(stream, reads): a client's bytes, and the same bytes cut into
+    the reads a segment might see."""
+    lines = draw(st.lists(st.sampled_from(_WIRE_LINES), max_size=24))
+    stream = b"".join(line + b"\n" for line in lines)
+    stream += draw(st.sampled_from([b"", b"d9,9", b"EO", b"BEGIN t9"]))  # partial last line
+    cuts = sorted(draw(st.sets(st.integers(1, max(1, len(stream) - 1)), max_size=12)))
+    bounds = [0] + [c for c in cuts if c < len(stream)] + [len(stream)]
+    return stream, [stream[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+
+
+class TestWireFraming:
+    @given(case=client_streams())
+    @settings(max_examples=300, deadline=None)
+    def test_framer_output_rejoins_the_whole_lines(self, case):
+        stream, reads = case
+        framer = WireFramer()
+        frames = [frame for data in reads for frame in framer.feed(data)]
+        assert b"".join(data + b"\n" if control else data for control, data in frames) \
+            == stream[:stream.rfind(b"\n") + 1]
+        for control, data in frames:
+            if control:
+                assert data == b"EOF" or data.startswith(b"BEGIN ")
+            else:
+                assert data.endswith(b"\n")
+                assert not any(ln == b"EOF" or ln.startswith(b"BEGIN ")
+                               for ln in data.split(b"\n"))
+
+    @given(case=client_streams())
+    @settings(max_examples=300, deadline=None)
+    def test_any_split_into_reads_answers_like_the_line_reference(self, case):
+        stream, reads = case
+        d = SegmentDaemon(SegmentConfig(id="seg", port=0))
+        writer = RecordingWriter()
+        asyncio.run(d._serve_connection(ScriptedReader(reads), writer))
+        replies, committed, states = line_at_a_time(stream)
+        assert writer.out.decode().split("\n")[:-1] == replies
+        assert d.store.committed_lines() == committed
+        assert {t: x.state for t, x in d.txns.items()} == states
 
 
 class TestCluster:
