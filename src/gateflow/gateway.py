@@ -3,10 +3,9 @@ wired together on one asyncio event loop.
 
 Each slot is owned by a single task cycling connect -> wait -> send ->
 commit against a persistent connection per segment. The send window
-writes each row's line exactly as the producer posted it, to the
-segment ``route_record`` names, looked up through a bounded cache. A
-batch is kept in memory, as the bytes already written to each segment,
-until every segment acknowledges its commit; a connection lost mid-send
+writes each row's line exactly as the producer posted it. A batch is
+kept in memory, as the bytes already written to each segment, until
+every segment acknowledges its commit; a connection lost mid-send
 aborts the segment transaction (nothing became visible) and the
 retained rows go back into the pipeline, so no record is silently lost
 and none is committed twice. The scheduler tick is a plain callback
@@ -48,9 +47,6 @@ log = logging.getLogger(__name__)
 TABLE_NAME = "ingest"
 DRAIN_CHUNK = 512
 MAX_BATCH_ROWS = 1_000_000
-# device ids a gateway remembers the segment of; the cache starts over
-# when it is full, so many devices cost misses, not memory
-ROUTE_CACHE_SIZE = 1 << 16
 
 
 class SlotProtocolError(RuntimeError):
@@ -69,22 +65,6 @@ async def _read_reply(reader: asyncio.StreamReader, verb: str, txn: str, segment
     except (ValueError, IndexError):
         pass  # over the line limit, not UTF-8, or no integer count
     raise SlotProtocolError(f"segment {segment}: expected {verb} {txn}, got {raw[:80]!r}")
-
-
-class RouteCache(dict):
-    """device id -> segment index, as ``route_record`` gives it. A
-    miss asks ``route_record`` and fills the entry; the cache is
-    emptied first when it holds ``ROUTE_CACHE_SIZE`` entries."""
-
-    def __init__(self, segment_count: int) -> None:
-        super().__init__()
-        self.segment_count = segment_count
-
-    def __missing__(self, device_id: str) -> int:
-        if len(self) >= ROUTE_CACHE_SIZE:
-            self.clear()
-        idx = self[device_id] = route_record(device_id, self.segment_count)
-        return idx
 
 
 @dataclass
@@ -167,7 +147,6 @@ class SlotRunner:
         gw = self.gateway
         deadline = gw.now() + gw.t_d_us
         n_segs = len(self.links)
-        route = gw.routes
         self.sent = [[] for _ in range(n_segs)]
         while True:
             remaining = deadline - gw.now()
@@ -183,7 +162,7 @@ class SlotRunner:
                 self.batch += len(chunk)
                 buffers: list[list[str]] = [[] for _ in range(n_segs)]
                 for rec in chunk:
-                    buffers[route[rec.device_id]].append(rec.line)
+                    buffers[route_record(rec.device_id, n_segs)].append(rec.line)
                 for idx, buf in enumerate(buffers):
                     if buf:
                         buf.append("")  # every row, the last too, ends in \n
@@ -292,7 +271,6 @@ class Gateway:
         self.nonce = uuid.uuid4().hex[:8]
         host, port = config.listen_host_port()
         self.ingest = IngestServer(self.queue, self.schema, self.counters, host, port)
-        self.routes = RouteCache(len(config.segments))
         self.runners: dict[int, SlotRunner] = {}
         self.audit_slots: list[Slot] = []
         self._tick_soon: asyncio.Handle | None = None

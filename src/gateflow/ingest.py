@@ -29,7 +29,7 @@ from operator import itemgetter
 
 from .metrics import Counters
 from .pipeline import EnqueueResult, RowFifo
-from .records import IngestError, Record, Schema, parse_record
+from .records import LINE_BREAK, IngestError, Record, Schema, parse_record
 
 MAX_BODY_BYTES = 8 * 1024 * 1024
 ERROR_LOG_LIMIT = 1000
@@ -112,12 +112,12 @@ class LineIngestor:
                 line_number += n
                 pos = end
                 continue
-            # one line outside the pattern, up to its first line break
-            # of any kind that ``str.splitlines`` knows
-            piece = body[pos:body.find("\n", pos) + 1 or size].splitlines(True)[0]
+            # one line outside the pattern, found in its own length
+            brk = LINE_BREAK.search(body, pos)
+            line_end, next_pos = brk.span() if brk else (size, size)
             line_number += 1
             parsed = parse_record(
-                piece.splitlines()[0], schema, seq=seq, line_number=line_number, now_us=now_us
+                body[pos:line_end], schema, seq=seq, line_number=line_number, now_us=now_us
             )
             if isinstance(parsed, IngestError):
                 self.error_log.append(parsed)
@@ -128,7 +128,7 @@ class LineIngestor:
             else:
                 backpressured = len(body[pos:].splitlines())
                 break
-            pos += len(piece)
+            pos = next_pos
         self.next_seq = seq
         return IngestReport(accepted, rejected, backpressured)
 

@@ -106,6 +106,8 @@ _RUN_FIELDS = {
     "str": f"[^,{_LINE_BREAKS}]*",
 }
 _RUN_DEVICE = f"(?!BEGIN|EOF)[^, {_LINE_BREAKS}]+"
+# the break that ends a line, where ``str.splitlines`` would end it
+LINE_BREAK = re.compile(f"\r\n|[{_LINE_BREAKS}]")
 
 
 class Schema:

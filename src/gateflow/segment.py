@@ -31,7 +31,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
 from typing import Optional
 
 from .config import SegmentConfig
@@ -160,7 +159,7 @@ class SegmentStore:
         without an integer timestamp is never the latest."""
         with self._lock:
             latest = self._latest
-            for line in islice(self._lines, self._indexed, None):
+            for line in self._lines[self._indexed:]:
                 fields = line.split(",")
                 try:
                     ts = int(fields[1])

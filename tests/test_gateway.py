@@ -191,41 +191,6 @@ class TestEndToEnd:
 
         asyncio.run(go())
 
-    def test_route_cache_stays_bounded_and_routes_like_route_record(self, monkeypatch):
-        # more distinct devices than the cache holds: it never grows
-        # past its bound, and every row still lands where route_record
-        # sends it
-        bound = 16
-        monkeypatch.setattr(gateway, "ROUTE_CACHE_SIZE", bound)
-        sizes = []
-        fill = gateway.RouteCache.__missing__
-
-        def observed_missing(cache, device_id):
-            idx = fill(cache, device_id)
-            sizes.append(len(cache))
-            return idx
-
-        monkeypatch.setattr(gateway.RouteCache, "__missing__", observed_missing)
-
-        async def go():
-            async with live_gateway(n_segments=3) as (gw, daemons):
-                lines = lines_for(range(600), devices=5 * bound)
-                for start in range(0, 600, 150):
-                    status, report = await post_lines(gw.ingest_port, lines[start:start + 150])
-                    assert (status, report["accepted"]) == (200, 150)
-                assert await gw.quiesce(timeout_s=20)
-                assert len(gw.routes) <= bound
-                committed = []
-                for idx, d in enumerate(daemons):
-                    for line in d.store.committed_lines():
-                        assert route_record(line.split(",")[0], 3) == idx
-                        committed.append(line)
-                assert sorted(committed) == sorted(lines)
-
-        asyncio.run(go())
-        assert len(sizes) > 5 * bound  # the cache was refilled
-        assert max(sizes) <= bound
-
     def test_slot_initiates_only_the_commit_edge(self):
         async def go():
             async with live_gateway(n_segments=1) as (gw, _):
@@ -455,7 +420,10 @@ class TestFailureRecovery:
                 # lone slot idles through whole windows and is
                 # dispatched in the loop turn after it turns ready, so
                 # post right after a fresh SEND edge: that window then
-                # drains wave B at its start, not at some random age
+                # drains the wave at its start, not at some random age.
+                # A stall of the process while the post is handled can
+                # still age that window past the kill limit; the wave
+                # then commits whole and the next wave tries again
                 def fresh_send():
                     now = gw.now()
                     return any(
@@ -463,27 +431,34 @@ class TestFailureRecovery:
                         for r in gw.runners.values()
                     )
 
-                for _ in range(2000):
-                    if fresh_send():
-                        break
-                    await asyncio.sleep(0.001)
-                await post_lines(gw.ingest_port, lines_for(range(1000, 5000)))
+                posted = 1000
                 killed = False
-                for _ in range(400):
-                    now = gw.now()
-                    for runner in gw.runners.values():
-                        s = runner.slot
-                        if (
-                            s.phase is SlotPhase.SEND
-                            and runner.batch
-                            and now - s.history[-1].at < 50_000
-                        ):
-                            await old.stop()
-                            killed = True
+                for _wave in range(5):
+                    for _ in range(2000):
+                        if fresh_send():
                             break
+                        await asyncio.sleep(0.001)
+                    await post_lines(gw.ingest_port, lines_for(range(posted, posted + 4000)))
+                    posted += 4000
+                    for _ in range(400):
+                        now = gw.now()
+                        for runner in gw.runners.values():
+                            s = runner.slot
+                            if (
+                                s.phase is SlotPhase.SEND
+                                and runner.batch
+                                and now - s.history[-1].at < 50_000
+                            ):
+                                await old.stop()
+                                killed = True
+                                break
+                        if killed:
+                            break
+                        await asyncio.sleep(0.005)
                     if killed:
                         break
-                    await asyncio.sleep(0.005)
+                    assert await gw.quiesce(timeout_s=20)
+                    assert old.store.total_rows == posted
                 assert killed, "never caught a send window to kill"
 
                 new = SegmentDaemon(SegmentConfig(id="seg0", port=port))
@@ -491,8 +466,8 @@ class TestFailureRecovery:
                 assert await gw.quiesce(timeout_s=30)
 
                 snap = gw.counters.snapshot()
-                assert snap["rows_accepted"] == 5000
-                assert snap["rows_committed"] == 5000
+                assert snap["rows_accepted"] == posted
+                assert snap["rows_committed"] == posted
                 assert snap["slots_aborted_total"] >= 1
                 failures = [
                     tr
@@ -504,7 +479,7 @@ class TestFailureRecovery:
                 survivors = seqs_in(
                     old.store.committed_lines() + new.store.committed_lines()
                 )
-                assert sorted(survivors) == list(range(5000))
+                assert sorted(survivors) == list(range(posted))
             finally:
                 await gw.stop()
                 await old.stop()

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import time
 from contextlib import asynccontextmanager
 from unittest import mock
 
@@ -247,6 +248,20 @@ class TestBulkPathMatchesPerLine:
         # valid or not, a line the pattern leaves out gets parse_record
         bulk = self.outcome(LineIngestor.handle_post, SCHEMA, f"d,1,2.5\n{line}\n", None)
         assert bulk == self.outcome(per_line_handle_post, SCHEMA, f"d,1,2.5\n{line}\n", None)
+
+    def test_lines_without_a_newline_cost_their_own_length(self):
+        # lines ended by "\r", "\r\n", "\x85" or "\u2028" all miss the
+        # run pattern; finding where each ends must not scan the rest of
+        # the body, or one large post stalls the event loop for minutes
+        n = 60_000
+        body = "".join(f"d{i % 64},{i},{i}.5{_BREAKS[1 + i % 4]}" for i in range(n))
+        ing = ingestor()
+        start = time.perf_counter()
+        report = ing.handle_post(body)
+        elapsed = time.perf_counter() - start
+        assert report == IngestReport(n, 0, 0)
+        assert [r.seq for r in ing.queue.drain_up_to(n)] == list(range(n))
+        assert elapsed < 5.0, elapsed
 
     def test_run_pattern_holds_no_line_break(self):
         # every character splitlines breaks at, but the "\n" that ends
