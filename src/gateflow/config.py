@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any
 
 import yaml
@@ -18,6 +18,14 @@ import yaml
 from .records import Schema
 
 DEFAULT_LISTEN = "127.0.0.1:8080"
+
+
+def known_keys(cls: type, data: dict[str, Any], what: str) -> dict[str, Any]:
+    """A copy of ``data``; a key that no field of ``cls`` takes is a ValueError."""
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return dict(data)
 
 
 @dataclass(frozen=True)
@@ -92,9 +100,10 @@ class GatewayConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "GatewayConfig":
-        known = dict(data)
+        known = known_keys(cls, data, "config")
         segments = tuple(
-            SegmentConfig(**seg) for seg in known.pop("segments", ())
+            SegmentConfig(**known_keys(SegmentConfig, seg, "segment"))
+            for seg in known.pop("segments", ())
         )
         return cls(segments=segments, **known)
 

@@ -8,12 +8,13 @@ kept in memory, as the bytes already written to each segment, until
 every segment acknowledges its commit; a connection lost mid-send
 aborts the segment transaction (nothing became visible) and the
 retained rows go back into the pipeline, so no record is silently lost
-and none is committed twice. The scheduler tick is a plain callback
-that talks to slots through per-slot command queues. It runs at start,
-soon after each report a runner makes and each failure retirement,
-when the queue fills while no slot sends, and at the instant
-``next_deadline`` names for the next timed rule; nothing else can
-change its decisions, so it has no polling period. A runner drives the
+and none is committed twice. A runner sleeps only in ``park``. The
+scheduler tick, a plain callback, wakes it to dispatch or abort it,
+and rows put into an empty queue wake the slot that sends. The tick
+runs at start, soon after each report a runner makes and each failure
+retirement, when the queue fills while no slot sends, and at the
+instant ``next_deadline`` names for the next timed rule; nothing else
+can change its decisions, so it has no polling period. A runner drives the
 ``Slot`` that the shared scheduler state holds but moves it only by
 reporting to the state, which is safe to share because everything
 lives on one loop. A failed slot is logged at WARNING.
@@ -53,65 +54,69 @@ class SlotProtocolError(RuntimeError):
     pass
 
 
-async def _read_reply(reader: asyncio.StreamReader, verb: str, txn: str, segment: str) -> int:
-    """Read a segment's ``READY <txn>`` or ``COMMITTED <txn> <n>`` reply
-    and return n (0 for READY). Any other frame is a protocol error."""
-    raw = b""
-    try:
-        raw = await reader.readline()
-        frame = raw.decode().split()
-        if frame[:2] == [verb, txn]:
-            return int(frame[2]) if verb == "COMMITTED" else 0
-    except (ValueError, IndexError):
-        pass  # over the line limit, not UTF-8, or no integer count
-    raise SlotProtocolError(f"segment {segment}: expected {verb} {txn}, got {raw[:80]!r}")
-
-
 @dataclass
 class _SegmentLink:
+    """One slot's connection to one segment, and what the open
+    transaction has put on it: the blobs written, kept until the
+    commit is acked, and whether EOF went out. Both are reset at
+    BEGIN."""
+
+    segment: str
     reader: asyncio.StreamReader
     writer: asyncio.StreamWriter
+    sent: list[bytes] = field(default_factory=list)
+    eof_sent: bool = False
 
-    def close(self) -> None:
-        self.writer.close()
+    async def reply(self, verb: str, txn: str) -> int:
+        """Read the segment's ``READY <txn>`` or ``COMMITTED <txn> <n>``
+        reply and return n (0 for READY). Any other frame is a protocol
+        error."""
+        raw = b""
+        try:
+            raw = await self.reader.readline()
+            frame = raw.decode().split()
+            if frame[:2] == [verb, txn]:
+                return int(frame[2]) if verb == "COMMITTED" else 0
+        except (ValueError, IndexError):
+            pass  # over the line limit, not UTF-8, or no integer count
+        raise SlotProtocolError(f"segment {self.segment}: expected {verb} {txn}, got {raw[:80]!r}")
+
+    def check(self) -> None:
+        """Raise if the segment hung up. While the gateway only writes,
+        that is visible on the read side alone."""
+        if self.reader.at_eof() or self.reader.exception() is not None:
+            raise ConnectionResetError(f"segment {self.segment}: link lost during send")
 
 
 @dataclass
 class SlotRunner:
-    """Task-side of one slot: owns its sockets and its retained batch."""
+    """Task-side of one slot: owns its links and its retained batch."""
 
     gateway: "Gateway"
     slot: Slot
-    commands: asyncio.Queue = field(default_factory=asyncio.Queue)
     links: list[_SegmentLink] = field(default_factory=list)
-    # rows retained since the send window opened, and per link the
-    # encoded blobs written to it, kept until the commit is acked
+    # rows retained since the send window opened; the links hold them
     batch: int = 0
-    sent: list[list[bytes]] = field(default_factory=list)
-    # link indexes where an EOF write was attempted this cycle; rows
-    # routed there are ambiguous after a failure (the commit may have
-    # landed) and must not be re-enqueued
-    eof_attempted: set = field(default_factory=set)
     task: asyncio.Task | None = None
+    _parked: asyncio.Future | None = field(default=None, init=False, repr=False)
 
     async def run(self) -> None:
         """Cycle until the scheduler retires the slot or a link fails.
         Whether the slot lives on is read from the slot after every
-        wait, since the scheduler retires it in its state."""
+        park, since the scheduler retires it in its state."""
         gw = self.gateway
         sid = self.slot.slot_id
         error: Exception | None = None
         try:
             await self._open_links()
             while True:
-                self.eof_attempted.clear()
                 txn = make_txn_id(gw.nonce, sid, self.slot.cycle)
                 await self._begin_txn(txn)
                 if self.slot.retired:
                     break  # aborted while connecting
                 gw.state.note_ready(sid, gw.now())
                 gw.request_tick()
-                await self.commands.get()  # "dispatch", or "abort" out of Wait
+                await self.park()  # until dispatched, or aborted out of Wait
                 if self.slot.retired:
                     break
                 await self._send_window()
@@ -124,6 +129,29 @@ class SlotRunner:
             self._close_links()
             gw.runner_done(self, error)
 
+    async def park(self, until_us: int | None = None) -> None:
+        """Sleep until ``wake``, or until ``until_us`` on the gateway's
+        clock when given: the runner's one way to sleep. It reads the
+        slot and drains the queue before it parks, so a wake that finds
+        it awake has nothing to tell it. Neither the future nor the
+        timer outlives the call, even when it is cancelled."""
+        loop = asyncio.get_running_loop()
+        self._parked = parked = loop.create_future()
+        # gateway.now() and the loop's time read the same monotonic clock
+        timer = None if until_us is None else loop.call_at(until_us / 1_000_000, self.wake)
+        try:
+            await parked
+        finally:
+            self._parked = None
+            if timer is not None:
+                timer.cancel()
+
+    def wake(self) -> None:
+        """End the current ``park``; does nothing while not parked."""
+        parked, self._parked = self._parked, None
+        if parked is not None and not parked.done():
+            parked.set_result(None)
+
     # -- phases --------------------------------------------------------
 
     async def _open_links(self) -> None:
@@ -132,60 +160,53 @@ class SlotRunner:
                 reader, writer = await asyncio.open_connection(seg.host, seg.port)
             except OSError as exc:
                 raise ConnectionError(f"segment {seg.id}: {exc}") from exc
-            self.links.append(_SegmentLink(reader, writer))
+            self.links.append(_SegmentLink(seg.id, reader, writer))
 
     async def _begin_txn(self, txn: str) -> None:
         start = self.gateway.now()
+        frame = f"BEGIN {txn} {TABLE_NAME}\n".encode()
         for link in self.links:
-            link.writer.write(f"BEGIN {txn} {TABLE_NAME}\n".encode())
+            # reset before any await: a failure in BEGIN must not see
+            # the last transaction's blobs, which are committed
+            link.sent, link.eof_sent = [], False
+            link.writer.write(frame)
+        for link in self.links:
             await link.writer.drain()
-        for seg, link in zip(self.gateway.config.segments, self.links):
-            await _read_reply(link.reader, "READY", txn, seg.id)
+            await link.reply("READY", txn)
         self.gateway.state.observe_ts(self.gateway.now() - start)
 
     async def _send_window(self) -> None:
         gw = self.gateway
         deadline = gw.now() + gw.t_d_us
-        n_segs = len(self.links)
-        self.sent = [[] for _ in range(n_segs)]
-        while True:
-            remaining = deadline - gw.now()
-            if remaining <= 0:
-                break
+        links = self.links
+        while gw.now() < deadline:
             room = MAX_BATCH_ROWS - self.batch
-            if not room:
-                # the batch is full: hold it to the end of the window
-                await asyncio.sleep(remaining / 1_000_000)
-                continue
-            chunk = gw.queue.drain_up_to(min(DRAIN_CHUNK, room))
-            if chunk:
-                self.batch += len(chunk)
-                buffers: list[list[str]] = [[] for _ in range(n_segs)]
-                for rec in chunk:
-                    buffers[route_record(rec.device_id, n_segs)].append(rec.line)
-                for idx, buf in enumerate(buffers):
-                    if buf:
-                        buf.append("")  # every row, the last too, ends in \n
-                        blob = "\n".join(buf).encode()
-                        self.sent[idx].append(blob)
-                        self.links[idx].writer.write(blob)
-                for link in self.links:
-                    await link.writer.drain()
-            else:
-                # idle stretch of the window: a segment that hung up is
-                # only visible on the read side, and noticing it now,
+            chunk = gw.queue.drain_up_to(min(DRAIN_CHUNK, room)) if room else []
+            if not chunk:
+                # an empty queue or a full batch. A segment that hung up
+                # is only visible on the read side, and noticing it now,
                 # before any EOF goes out, keeps the batch re-enqueueable.
-                # Then sleep until rows arrive or the window ends
-                self._check_links()
-                await gw.queue.wait_nonempty(remaining / 1_000_000)
-        # the last wait may have outlived a link: check once more
+                # Then park until rows arrive or the window ends
+                for link in links:
+                    link.check()
+                await self.park(deadline)
+                continue
+            self.batch += len(chunk)
+            buffers: list[list[str]] = [[] for _ in links]
+            for rec in chunk:
+                buffers[route_record(rec.device_id, len(links))].append(rec.line)
+            for link, buf in zip(links, buffers):
+                if buf:
+                    buf.append("")  # every row, the last too, ends in \n
+                    blob = "\n".join(buf).encode()
+                    link.sent.append(blob)
+                    link.writer.write(blob)
+            for link in links:
+                await link.writer.drain()
+        # the last park may have outlived a link: check once more
         # before _commit writes EOF
-        self._check_links()
-
-    def _check_links(self) -> None:
-        for seg, link in zip(self.gateway.config.segments, self.links):
-            if link.reader.at_eof() or link.reader.exception() is not None:
-                raise ConnectionResetError(f"segment {seg.id}: link lost during send")
+        for link in links:
+            link.check()
 
     async def _commit(self, txn: str) -> bool:
         """Close the send window and commit; returns whether the slot
@@ -199,13 +220,13 @@ class SlotRunner:
         gw.request_tick()
         if retired:
             return False  # the empty transaction is dropped, not committed
-        for idx, link in enumerate(self.links):
-            self.eof_attempted.add(idx)
+        for link in self.links:
+            link.eof_sent = True
             link.writer.write(b"EOF\n")
             await link.writer.drain()
         total = 0
-        for seg, link in zip(gw.config.segments, self.links):
-            total += await _read_reply(link.reader, "COMMITTED", txn, seg.id)
+        for link in self.links:
+            total += await link.reply("COMMITTED", txn)
         if total != rows:
             raise SlotProtocolError(f"committed {total} of {rows} rows of {txn}")
         ack_at = gw.now()
@@ -215,7 +236,6 @@ class SlotRunner:
         gw.counters.add("rows_committed", rows)
         gw.counters.set_gauge("last_commit_ms", ack_at // 1000)
         self.batch = 0
-        self.sent = []
         return not retired
 
     # -- teardown ------------------------------------------------------
@@ -229,26 +249,26 @@ class SlotRunner:
         gw = self.gateway
         safe: list[Record] = []
         in_doubt = 0
-        for idx, blobs in enumerate(self.sent):
-            if idx in self.eof_attempted:
+        for link in self.links:
+            if link.eof_sent:
                 # a row's line holds no newline, and every blob ends with one
-                in_doubt += sum(blob.count(b"\n") for blob in blobs)
+                in_doubt += sum(blob.count(b"\n") for blob in link.sent)
             else:
                 safe.extend(
                     Record(line[: line.index(",")], line, -1)
-                    for blob in blobs
+                    for blob in link.sent
                     for line in blob.decode().split("\n")[:-1]
                 )
+            link.sent = []
         if safe:
             # ahead of rows accepted later, to keep each device's order
             gw.queue.requeue(safe)
         gw.counters.add("rows_in_doubt", in_doubt)
         self.batch = 0
-        self.sent = []
 
     def _close_links(self) -> None:
         for link in self.links:
-            link.close()
+            link.writer.close()
         self.links.clear()
 
 
@@ -331,10 +351,13 @@ class Gateway:
             self._tick_soon = asyncio.get_running_loop().call_soon(self._tick)
 
     def _queue_filled(self) -> None:
-        # with a slot sending, rows in the queue change no decision
-        # before that slot reports its send end
-        if self.state.current_sender is None:
+        # a sender parked on an empty queue drains the rows; they change
+        # no decision before it reports its send end
+        sender = self.state.current_sender
+        if sender is None:
             self.request_tick()
+        elif sender in self.runners:
+            self.runners[sender].wake()
 
     def _cancel_tick(self) -> None:
         for handle in (self._tick_soon, self._tick_timer):
@@ -356,11 +379,11 @@ class Gateway:
                 # runner wakes, or the next tick could pick a
                 # second sender
                 self.state.note_dispatched(action.slot_id, now)
-                self._command(action.slot_id, "dispatch")
+                self.runners[action.slot_id].wake()
             elif isinstance(action, AbortSlot) and not action.deferred:
                 # tick retired it already: wake the runner to tear
                 # down its side
-                self._command(action.slot_id, "abort")
+                self.runners[action.slot_id].wake()
         due = next_deadline(self.state, now, nonempty)
         if due is not None:
             # self.now() and the loop's time read the same monotonic clock
@@ -375,11 +398,6 @@ class Gateway:
         self.audit_slots.append(slot)
         self.counters.add("slots_activated_total")
         self.counters.set_gauge("active_slots", len(self.runners))
-
-    def _command(self, sid: int, cmd: str) -> None:
-        runner = self.runners.get(sid)
-        if runner is not None:
-            runner.commands.put_nowait(cmd)
 
     def runner_done(self, runner: SlotRunner, error: Exception | None) -> None:
         """The one exit of every slot task. Scheduler decisions and

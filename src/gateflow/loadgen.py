@@ -18,6 +18,9 @@ import json
 import time
 from dataclasses import dataclass, field
 
+RETRY_BUDGET = 200  # re-posts of one batch's backpressured tail
+RETRY_DELAY_S = 0.01
+
 
 @dataclass
 class LoadgenReport:
@@ -59,8 +62,6 @@ class LoadGenerator:
     port: int
     batch_lines: int = 1000
     rate: float | None = None  # rows/sec; None = unpaced
-    retry_budget: int = 200
-    retry_delay_s: float = 0.01
     report: LoadgenReport = field(default_factory=LoadgenReport)
 
     def __post_init__(self) -> None:
@@ -107,12 +108,12 @@ class LoadGenerator:
             pending = pending[len(pending) - tail:]
             retries += 1
             self.report.retried += tail
-            if retries > self.retry_budget:
+            if retries > RETRY_BUDGET:
                 self.report.unresolved += tail
                 return
-            time.sleep(self.retry_delay_s)
+            time.sleep(RETRY_DELAY_S)
 
-    def run(self, lines_iter, total_hint: int | None = None) -> LoadgenReport:
+    def run(self, lines_iter) -> LoadgenReport:
         start = time.monotonic()
         batch: list[str] = []
         sent = 0

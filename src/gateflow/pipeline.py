@@ -1,10 +1,9 @@
 """FIFOs between the ingest listener and the sending slot.
 
 ``RowFifo`` is the live gateway's queue: a deque plus a capacity bound,
-for producers and a consumer that share one asyncio event loop. Its
-one consumer can sleep in ``wait_nonempty`` until a row arrives, and an
+for producers and a consumer that share one asyncio event loop. An
 optional ``on_fill`` callback hears each time the queue stops being
-empty.
+empty; the gateway wakes its sender from there.
 
 ``LockFreeQueue`` is the reproduced multi-producer multi-consumer
 design, kept as the reference the queue contract is tested against. It
@@ -26,7 +25,6 @@ exact when nothing is in flight.
 
 from __future__ import annotations
 
-import asyncio
 import sys
 import threading
 from collections import deque
@@ -181,21 +179,15 @@ class LockFreeQueue:
         return n
 
 
-def _resolve(waiter: asyncio.Future) -> None:
-    if not waiter.done():
-        waiter.set_result(None)
-
-
 class RowFifo:
     """Bounded-or-unbounded FIFO for one event loop; not thread-safe.
 
     The live gateway parses, enqueues and drains on a single asyncio
     thread, where the compare-and-swap machinery of ``LockFreeQueue``
     buys nothing and costs most of the per-row queue time, and a run
-    of a post's rows arrives with one ``extend``. Only one slot sends
-    at a time, so the queue keeps at most one waiter: a future that
-    the next ``enqueue``, ``extend`` or ``requeue`` resolves. That same
-    first item of a non-empty stretch also calls ``on_fill``.
+    of a post's rows arrives with one ``extend``. The first item of a
+    non-empty stretch, whether ``enqueue``, ``extend`` or ``requeue``
+    puts it in, calls ``on_fill``; the rest of the stretch does not.
     """
 
     def __init__(self, capacity: int | None = None,
@@ -204,7 +196,6 @@ class RowFifo:
             raise ValueError("capacity must be non-negative or None")
         self._items: deque = deque()
         self._limit = sys.maxsize if capacity is None else capacity
-        self._waiter: asyncio.Future | None = None
         self.on_fill = on_fill
 
     def enqueue(self, item: Any) -> EnqueueResult:
@@ -247,32 +238,8 @@ class RowFifo:
             self._filled()
 
     def _filled(self) -> None:
-        # a waiter only waits on an empty queue, so the rest of a
-        # post's rows skip this call
-        waiter, self._waiter = self._waiter, None
-        if waiter is not None:
-            _resolve(waiter)
         if self.on_fill is not None:
             self.on_fill()
-
-    async def wait_nonempty(self, timeout_s: float) -> None:
-        """Sleep until the queue holds an item or ``timeout_s`` passes,
-        whichever comes first. Returns at once when it already holds
-        one. A cancelled wait leaves neither the waiter nor its timer
-        behind."""
-        if self._items:
-            return
-        if self._waiter is not None:
-            raise RuntimeError("RowFifo already has a waiter")
-        loop = asyncio.get_running_loop()
-        waiter = self._waiter = loop.create_future()
-        timer = loop.call_later(timeout_s, _resolve, waiter)
-        try:
-            await waiter
-        finally:
-            timer.cancel()
-            if self._waiter is waiter:
-                self._waiter = None
 
     def dequeue(self) -> Any | None:
         items = self._items

@@ -30,6 +30,7 @@ import random
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
+from .config import known_keys
 from .scheduler import (
     AbortSlot,
     ABORT_NO_DATA_CYCLE,
@@ -110,7 +111,7 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SimConfig":
-        known = dict(data)
+        known = known_keys(cls, data, "scenario")
         if "arrival" in known:
             known["arrival"] = tuple(tuple(step) for step in known["arrival"])
         if "strategy" in known:

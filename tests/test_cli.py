@@ -5,6 +5,7 @@ import json
 import socket
 import threading
 
+import pytest
 import yaml
 
 from gateflow.cli import main
@@ -100,6 +101,24 @@ class TestArgHandling:
 
     def test_bad_loadgen_target(self):
         assert main(["loadgen", "--target", "nowhere", "--rows", "5"]) == 1
+
+
+class TestConfigTypos:
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            ("serve", {"interval_msec": 5, "segments": [{"id": "s0"}]}),
+            ("segmentd", {"segments": [{"id": "s0", "prot": 9001}]}),
+            ("simulate", {"t_d_ms": 100, "typo_key": 1}),
+        ],
+    )
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys, command, data):
+        path = tmp_path / "typo.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown ") and "keys" in err
+        assert "Traceback" not in err
 
 
 class TestSimulateAndGantt:

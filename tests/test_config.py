@@ -165,6 +165,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-empty"):
             SegmentConfig(id="")
 
+    def test_unknown_keys_named(self):
+        with pytest.raises(ValueError, match=r"unknown config keys: \['interval_msec'\]"):
+            parse_config(SAMPLE_YAML + "interval_msec: 5\n")
+        with pytest.raises(ValueError, match=r"unknown segment keys: \['prot'\]"):
+            GatewayConfig.from_dict({"segments": [{"id": "a", "prot": 9001}]})
+
     def test_schema_obj_matches_spec(self):
         cfg = parse_config(SAMPLE_YAML)
         schema = cfg.schema_obj()

@@ -311,7 +311,7 @@ class TestSendWindow:
         slot.transition(SlotPhase.WAIT, Initiator.SCHEDULER, 1)
         runner = SlotRunner(gw, slot)
         reader, writer = asyncio.StreamReader(), Writer()
-        runner.links.append(_SegmentLink(reader, writer))
+        runner.links.append(_SegmentLink("seg0", reader, writer))
         return gw, runner, reader, writer
 
     def test_link_lost_in_the_last_wait_stops_the_window_before_eof(self):
@@ -329,7 +329,7 @@ class TestSendWindow:
                 await runner._send_window()
             assert loop.time() - start >= 0.05  # the whole window was waited out
             assert writer.written == [b"d1,1,1\n"]  # the row, and no EOF
-            assert runner.batch == 1 and not runner.eof_attempted
+            assert runner.batch == 1 and not runner.links[0].eof_sent
 
         asyncio.run(go())
 
@@ -351,6 +351,92 @@ class TestSendWindow:
             assert calls == [2]
             assert writer.written == [b"d1,0,0\nd1,1,1\n"]
             assert runner.batch == 2 and gw.queue.approx_len() == 1
+
+        asyncio.run(go())
+
+
+class TestPark:
+    """``park`` is the runner's one way to sleep: a wake or its deadline
+    ends it, and it leaves nothing on the loop."""
+
+    def test_a_wake_ends_a_park(self):
+        async def go():
+            _, runner, _, _ = TestSendWindow.one_link_runner()
+            loop = asyncio.get_running_loop()
+            loop.call_later(0.01, runner.wake)
+            start = loop.time()
+            await asyncio.wait_for(runner.park(), 2)
+            assert loop.time() - start < 1.0
+            assert runner._parked is None
+
+        asyncio.run(go())
+
+    def test_a_park_returns_at_its_deadline(self):
+        async def go():
+            gw, runner, _, _ = TestSendWindow.one_link_runner()
+            until = gw.now() + 50_000
+            await asyncio.wait_for(runner.park(until), 2)
+            assert gw.now() >= until
+            assert runner._parked is None
+
+        asyncio.run(go())
+
+    def test_a_cancelled_park_leaves_no_future_or_timer(self):
+        async def go():
+            gw, runner, _, _ = TestSendWindow.one_link_runner()
+            loop = asyncio.get_running_loop()
+            parked = asyncio.create_task(runner.park(gw.now() + 5_000_000))
+            await asyncio.sleep(0)
+            assert runner._parked is not None
+            parked.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await parked
+            assert runner._parked is None
+            assert all(handle.cancelled() for handle in loop._scheduled)
+            runner.wake()  # nobody to wake, and nothing breaks
+
+        asyncio.run(go())
+
+    def test_a_wake_while_not_parked_does_nothing(self):
+        async def go():
+            _, runner, _, _ = TestSendWindow.one_link_runner()
+            runner.wake()
+            parked = asyncio.create_task(runner.park())
+            await asyncio.sleep(0.02)
+            assert not parked.done()  # the early wake was not kept
+            runner.wake()
+            runner.wake()  # a second wake before it resumes is harmless
+            await asyncio.wait_for(parked, 2)
+
+        asyncio.run(go())
+
+
+class TestWakeOnPost:
+    def test_a_post_reaches_the_open_window_at_once(self):
+        # the sender parks on an empty queue until its window ends; the
+        # first row of a post wakes it, so the row is on the wire in the
+        # same window, not at the next one
+        async def go():
+            async with live_gateway(n_segments=1, interval_ms=400) as (gw, daemons):
+                loop = asyncio.get_running_loop()
+                give_up = loop.time() + 10
+                while True:
+                    sender = gw.state.current_sender
+                    slot = gw.state.slots.get(sender) if sender is not None else None
+                    if slot is not None:
+                        edge = slot.history[-1]
+                        if edge.dst is SlotPhase.SEND and gw.now() - edge.at < 20_000:
+                            break
+                    assert loop.time() < give_up, "no fresh send window"
+                    await asyncio.sleep(0.001)
+                cycle = slot.cycle
+                posted_at = gw.now()
+                status, report = await post_lines(gw.ingest_port, lines_for([0]))
+                assert (status, report["accepted"]) == (200, 1)
+                while not any(t.runs for t in daemons[0].txns.values()):
+                    assert gw.now() - posted_at < 150_000, "the row waited for the window end"
+                    await asyncio.sleep(0.001)
+                assert gw.state.current_sender == sender and slot.cycle == cycle
 
         asyncio.run(go())
 
@@ -622,13 +708,12 @@ class TestRetainedBatch:
         gw.state.note_dispatched(sid, 2)
         slot = gw.state.slots[sid]
         runner = SlotRunner(gw, slot)
-        runner.sent = [
-            [b"a,1,0\nb,1,1\n", b"a,2,2\n"],
-            [b"c,1,3\n"],
-            [b"d,1,4\n", b"e,1,5\nd,2,6\n"],
+        runner.links = [
+            _SegmentLink("seg0", None, None, sent=[b"a,1,0\nb,1,1\n", b"a,2,2\n"]),
+            _SegmentLink("seg1", None, None, sent=[b"c,1,3\n"], eof_sent=True),
+            _SegmentLink("seg2", None, None, sent=[b"d,1,4\n", b"e,1,5\nd,2,6\n"]),
         ]
         runner.batch = 7
-        runner.eof_attempted = {1}
         later = Record("z", "z,9,9", 9)
         gw.queue.enqueue(later)
 
@@ -642,6 +727,6 @@ class TestRetainedBatch:
         ]
         assert [r.device_id for r in requeued[:-1]] == ["a", "b", "a", "d", "e", "d"]
         assert requeued[-1] is later
-        assert runner.batch == 0 and runner.sent == []
+        assert runner.batch == 0 and [link.sent for link in runner.links] == [[], [], []]
         assert slot.history[-1].initiator is Initiator.FAILURE
         assert slot.retired and sid not in gw.state.slots

@@ -5,7 +5,6 @@ The contract tests run against both queues: ``LockFreeQueue``, the
 reproduced reference, and ``RowFifo``, the gateway's single-loop FIFO;
 each ``...RowFifo`` class reruns its parent's tests on the latter."""
 
-import asyncio
 import threading
 from collections import deque
 
@@ -189,8 +188,9 @@ def test_requeue_goes_to_the_head_past_capacity():
 
 
 class TestRowFifoWaiter:
-    """``wait_nonempty``: the one sender sleeps until rows arrive or
-    its timeout passes, and leaves nothing behind when cancelled."""
+    """The queue's waiter is its ``on_fill`` callback, which the gateway
+    points at the sender's wake: it hears the first item of each
+    non-empty stretch, and not the rest of the stretch."""
 
     @pytest.mark.parametrize(
         "fill",
@@ -201,58 +201,13 @@ class TestRowFifoWaiter:
         ],
     )
     def test_each_way_in_wakes_a_pending_wait(self, fill):
-        async def go():
-            loop = asyncio.get_running_loop()
-            q = RowFifo(capacity=4)
-            waiting = asyncio.create_task(q.wait_nonempty(5.0))
-            await asyncio.sleep(0)  # the wait is pending now
-            assert not waiting.done() and q._waiter is not None
-            start = loop.time()
-            fill(q)
-            assert q._waiter is None  # the rest of a post skips the wake
-            await waiting
-            assert loop.time() - start < 1.0
-            assert q.approx_len() > 0
-
-        asyncio.run(go())
-
-    def test_empty_queue_wait_returns_at_its_timeout(self):
-        async def go():
-            loop = asyncio.get_running_loop()
-            q = RowFifo()
-            start = loop.time()
-            await q.wait_nonempty(0.05)
-            assert 0.05 <= loop.time() - start < 1.0
-            assert q.approx_len() == 0
-            assert q._waiter is None
-
-        asyncio.run(go())
-
-    def test_nonempty_queue_wait_returns_at_once(self):
-        q = RowFifo()
-        q.enqueue("r")
-        # completes on its first step, without suspending or a loop
-        coro = q.wait_nonempty(5.0)
-        with pytest.raises(StopIteration):
-            coro.send(None)
-
-    def test_cancelled_wait_leaves_no_waiter_or_timer(self):
-        async def go():
-            loop = asyncio.get_running_loop()
-            q = RowFifo()
-            waiting = asyncio.create_task(q.wait_nonempty(5.0))
-            await asyncio.sleep(0)
-            waiting.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await waiting
-            assert q._waiter is None
-            assert all(handle.cancelled() for handle in loop._scheduled)
-            q.enqueue("r")  # nobody to wake, and nothing breaks
-            start = loop.time()
-            await q.wait_nonempty(5.0)
-            assert loop.time() - start < 1.0
-
-        asyncio.run(go())
+        fills = []
+        q = RowFifo(capacity=8, on_fill=lambda: fills.append(q.approx_len()))
+        fill(q)
+        assert fills == [1]  # at the first item, not again for the rest
+        fill(q)  # the queue is not empty: no call
+        assert fills == [1]
+        assert q.approx_len() > 1
 
     def test_on_fill_hears_each_end_of_an_empty_stretch(self):
         fills = []
@@ -267,19 +222,6 @@ class TestRowFifoWaiter:
         q.drain_up_to(10)
         q.enqueue("f")
         assert fills == [1, 2, 1]
-
-    def test_one_waiter_at_a_time(self):
-        async def go():
-            q = RowFifo()
-            waiting = asyncio.create_task(q.wait_nonempty(5.0))
-            await asyncio.sleep(0)
-            with pytest.raises(RuntimeError):
-                await q.wait_nonempty(5.0)
-            waiting.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await waiting
-
-        asyncio.run(go())
 
 
 class TestReuseHazard:

@@ -396,6 +396,12 @@ def pinned_grid_trace(strategy, poisson, cycle_ms):
     )
 
 
+class TestSimConfigKeys:
+    def test_unknown_keys_named(self):
+        with pytest.raises(ValueError, match=r"unknown scenario keys: \['typo_key'\]"):
+            SimConfig.from_dict(dict(HEADLINE, typo_key=1))
+
+
 class TestPinnedDecisions:
     def test_grid_traces_match_pinned_digests(self):
         kinds = Counter()
