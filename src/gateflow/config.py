@@ -28,6 +28,15 @@ def known_keys(cls: type, data: dict[str, Any], what: str) -> dict[str, Any]:
     return dict(data)
 
 
+def require(kind: type, owner: str, **values: Any) -> None:
+    """Raise a ValueError that names the first value not of ``kind``
+    (a bool is no int here), so that a mistyped key is reported before
+    anything compares it. ``owner`` prefixes the key in the message."""
+    for key, value in values.items():
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise ValueError(f"{owner}{key} must be {kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SegmentConfig:
     """Address and simulated latency profile of one segment."""
@@ -40,8 +49,13 @@ class SegmentConfig:
     commit_per_row_us: int = 0
 
     def __post_init__(self) -> None:
+        require(str, "segment ", id=self.id)
         if not self.id:
             raise ValueError("segment id must be non-empty")
+        require(str, f"segment {self.id}: ", host=self.host)
+        require(int, f"segment {self.id}: ", port=self.port,
+                begin_latency_ms=self.begin_latency_ms, commit_fixed_ms=self.commit_fixed_ms,
+                commit_per_row_us=self.commit_per_row_us)
         if not (0 <= self.port < 65536):  # 0 asks the OS for a port
             raise ValueError(f"segment {self.id}: port out of range")
         if min(self.begin_latency_ms, self.commit_fixed_ms, self.commit_per_row_us) < 0:
@@ -64,6 +78,11 @@ class GatewayConfig:
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValueError("at least one segment is required")
+        require(str, "", listen_addr=self.listen_addr, schema=self.schema)
+        require(int, "", interval_ms=self.interval_ms, dispatch_cycle_ms=self.dispatch_cycle_ms,
+                max_slots=self.max_slots, listeners=self.listeners)
+        if self.queue_capacity is not None:
+            require(int, "", queue_capacity=self.queue_capacity)
         if self.interval_ms <= 0:
             raise ValueError("interval_ms must be positive")
         if self.dispatch_cycle_ms < self.interval_ms:
@@ -101,9 +120,14 @@ class GatewayConfig:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "GatewayConfig":
         known = known_keys(cls, data, "config")
+        segments = known.pop("segments", ())
+        if not isinstance(segments, (list, tuple)) or not all(
+            isinstance(seg, dict) for seg in segments
+        ):
+            raise ValueError(f"segments must be a list of mappings, got {segments!r}")
         segments = tuple(
             SegmentConfig(**known_keys(SegmentConfig, seg, "segment"))
-            for seg in known.pop("segments", ())
+            for seg in segments
         )
         return cls(segments=segments, **known)
 

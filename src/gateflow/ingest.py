@@ -3,8 +3,9 @@
 The HTTP layer is a deliberately small hand-rolled HTTP/1.1 server on
 asyncio streams (persistent connections, Content-Length bodies only:
 a malformed length, or a request or header line that is not UTF-8
-or runs past the 64 KiB stream limit, is answered 400 and any
-Transfer-Encoding 411, and each closes the connection). Three routes:
+or runs past the 64 KiB stream limit, is answered 400, any
+Transfer-Encoding 411 and a length over 8 MiB 413, and each closes
+the connection). Three routes:
 
     POST /ingest   body: CSV lines -> JSON {accepted, rejected,
                    backpressured}; status 429 when anything was
@@ -232,7 +233,11 @@ class IngestServer:
                 for name, value in headers:
                     if name == "content-length":
                         if value.isdigit() and value.isascii():
-                            length = int(value)
+                            # int() refuses strings past 4300 digits,
+                            # and a length that long is too large anyway
+                            digits = value.lstrip("0")
+                            too_long = len(digits) > len(str(MAX_BODY_BYTES))
+                            length = MAX_BODY_BYTES + 1 if too_long else int(digits or "0")
                         else:
                             refusal = _http_response(
                                 400, b"bad content-length\n", keep_alive=False)

@@ -12,8 +12,8 @@ Wire protocol, one connection per slot-segment pair, newline framed:
 
 A line that is exactly ``EOF`` or starts with ``BEGIN `` is a control
 line; every other non-empty line is a row. While a transaction is
-open its rows are kept as the bytes they arrived in, and ``EOF``
-decodes and splits them once; empty lines are not rows.
+open, each run of rows is decoded and split as it arrives, so ``EOF``
+only hands the rows over to the commit; empty lines are not rows.
 
 Rows become query-visible atomically when the commit latency elapses,
 never row-by-row; a connection dropped before EOF aborts its
@@ -108,19 +108,23 @@ class TxnState(str, Enum):
 class SegmentTxn:
     """One transaction a segment has seen: BEGUN while its rows arrive,
     then COMMITTED on EOF or ABORTED when its connection drops first.
-    ``runs`` holds the received rows, as the byte runs they arrived in,
-    until the commit takes them."""
+    ``rows`` holds the rows received so far, decoded, until the commit
+    takes them or the abort drops them."""
 
     txn_id: str
     state: TxnState = TxnState.BEGUN
-    runs: list[bytes] = field(default_factory=list)
+    rows: list[str] = field(default_factory=list)
+
+    def add_run(self, run: bytes) -> None:
+        """Append the rows of one run of whole lines; empty lines are
+        not rows. No UTF-8 sequence holds a newline byte, so decoding
+        run by run gives the text that decoding their join gives."""
+        self.rows.extend(filter(None, run.decode("utf-8", errors="replace").split("\n")))
 
     def take_rows(self) -> list[str]:
-        """The received rows, decoded and split once; empty lines are
-        not rows. The transaction keeps none of them."""
-        text = b"".join(self.runs).decode("utf-8", errors="replace")
-        self.runs = []
-        return list(filter(None, text.split("\n")))
+        """The received rows; the transaction keeps none of them."""
+        rows, self.rows = self.rows, []
+        return rows
 
 
 class SegmentStore:
@@ -249,7 +253,7 @@ class SegmentDaemon:
                 for control, data in framer.feed(chunk):
                     if not control:
                         if active is not None:
-                            active.runs.append(data)
+                            active.add_run(data)
                             continue
                         reason = ERR_ORDER if last_txn != "-" else ERR_UNKNOWN
                         for raw in data.split(b"\n"):
@@ -298,8 +302,10 @@ class SegmentDaemon:
             pass  # peer vanished; the finally block aborts its txn
         finally:
             if active is not None:
-                # dropped mid-transaction: nothing becomes visible
+                # dropped mid-transaction: nothing becomes visible,
+                # and the daemon keeps the txn id but not its rows
                 active.state = TxnState.ABORTED
+                active.rows = []
             self._conns.pop(writer, None)
             writer.close()
             try:

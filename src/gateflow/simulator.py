@@ -30,7 +30,7 @@ import random
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
-from .config import known_keys
+from .config import known_keys, require
 from .scheduler import (
     AbortSlot,
     ABORT_NO_DATA_CYCLE,
@@ -84,6 +84,16 @@ class SimConfig:
     poisson: bool = False
 
     def __post_init__(self) -> None:
+        require(int, "", t_d_ms=self.t_d_ms, t_s_ms=self.t_s_ms,
+                commit_fixed_ms=self.commit_fixed_ms, commit_per_row_us=self.commit_per_row_us,
+                duration_ms=self.duration_ms, max_slots=self.max_slots,
+                dispatch_cycle_ms=self.dispatch_cycle_ms, initial_slots=self.initial_slots)
+        if self.tick_ms is not None:
+            require(int, "", tick_ms=self.tick_ms)
+        for step in self.arrival:
+            if not isinstance(step, (tuple, list)) or len(step) != 2:
+                raise ValueError(f"arrival steps must be [at_ms, rows_per_sec], got {step!r}")
+            require(int, "arrival ", at_ms=step[0], rows_per_sec=step[1])
         if self.t_d_ms <= 0:
             raise ValueError("t_d_ms must be positive")
         if self.t_s_ms < 0 or self.commit_fixed_ms < 0 or self.commit_per_row_us < 0:
@@ -113,7 +123,12 @@ class SimConfig:
     def from_dict(cls, data: dict[str, Any]) -> "SimConfig":
         known = known_keys(cls, data, "scenario")
         if "arrival" in known:
-            known["arrival"] = tuple(tuple(step) for step in known["arrival"])
+            steps = known["arrival"]
+            if not isinstance(steps, (list, tuple)) or not all(
+                isinstance(step, (list, tuple)) for step in steps
+            ):
+                raise ValueError(f"arrival must be a list of [at_ms, rows_per_sec], got {steps!r}")
+            known["arrival"] = tuple(tuple(step) for step in steps)
         if "strategy" in known:
             known["strategy"] = Strategy(known["strategy"])
         return cls(**known)

@@ -120,6 +120,25 @@ class TestConfigTypos:
         assert err.startswith("error: unknown ") and "keys" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, data, key",
+        [
+            ("segmentd", {"interval_ms": "fast", "segments": [{"id": "s0"}]}, "interval_ms"),
+            ("segmentd", {"segments": 5}, "segments"),
+            ("segmentd", {"segments": [{"id": "s0", "port": "x"}]}, "port"),
+            ("serve", {"queue_capacity": [1], "segments": [{"id": "s0"}]}, "queue_capacity"),
+            ("simulate", {"t_d_ms": "abc"}, "t_d_ms"),
+            ("simulate", {"arrival": [[0, "fast"]]}, "rows_per_sec"),
+        ],
+    )
+    def test_wrong_type_is_usage_error(self, tmp_path, capsys, command, data, key):
+        path = tmp_path / "typed.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert "Traceback" not in err
+
 
 class TestSimulateAndGantt:
     SCENARIO = {

@@ -7,6 +7,8 @@ import json
 from contextlib import asynccontextmanager
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gateflow.config import GatewayConfig, SegmentConfig
 from gateflow import gateway
@@ -433,7 +435,7 @@ class TestWakeOnPost:
                 posted_at = gw.now()
                 status, report = await post_lines(gw.ingest_port, lines_for([0]))
                 assert (status, report["accepted"]) == (200, 1)
-                while not any(t.runs for t in daemons[0].txns.values()):
+                while not any(t.rows for t in daemons[0].txns.values()):
                     assert gw.now() - posted_at < 150_000, "the row waited for the window end"
                     await asyncio.sleep(0.001)
                 assert gw.state.current_sender == sender and slot.cycle == cycle
@@ -730,3 +732,53 @@ class TestRetainedBatch:
         assert runner.batch == 0 and [link.sent for link in runner.links] == [[], [], []]
         assert slot.history[-1].initiator is Initiator.FAILURE
         assert slot.retired and sid not in gw.state.slots
+
+
+@st.composite
+def reply_frames(draw):
+    """(verb, txn, bytes, expected count): a well-formed reply with its
+    count, a near miss, or arbitrary bytes (expected None)."""
+    verb = draw(st.sampled_from(["READY", "COMMITTED"]))
+    txn = draw(st.sampled_from(["t", "3f9a-s1-c7"]))
+    kind = draw(st.sampled_from(["good", "near", "bytes"]))
+    if kind == "bytes":
+        return verb, txn, draw(st.binary(max_size=120)), None
+    n = draw(st.integers(0, 10**6))
+    line = f"{verb} {txn}" + (f" {n}" if verb == "COMMITTED" else "")
+    if kind == "good":
+        return verb, txn, line.encode() + b"\n" + draw(st.binary(max_size=20)), (
+            n if verb == "COMMITTED" else 0)
+    cut = draw(st.integers(0, len(line)))
+    junk = draw(st.binary(max_size=12))
+    return verb, txn, line.encode()[:cut] + junk + line.encode()[cut:], None
+
+
+class TestReplyFraming:
+    """``_SegmentLink.reply`` on any bytes a segment may send: it
+    returns a count or raises ``SlotProtocolError``, nothing else, and a
+    well-formed reply gives its count."""
+
+    @given(reply_frames())
+    @example(("COMMITTED", "t", b"COMMITTED t " + b"9" * 5000 + b"\n", None))
+    @example(("COMMITTED", "t", b"COMMITTED t " + b"9" * 70_000 + b"\n", None))
+    @example(("READY", "t", b"READY \xff\xfe\n", None))
+    @example(("COMMITTED", "t", b"COMMITTED t\n", None))
+    @example(("READY", "t", b"", None))
+    @settings(max_examples=300, deadline=None)
+    def test_reply_returns_a_count_or_raises_protocol_error(self, frame):
+        verb, txn, data, expected = frame
+
+        async def go():
+            reader = asyncio.StreamReader()  # the 64 KiB limit open_connection uses
+            reader.feed_data(data)
+            reader.feed_eof()
+            try:
+                return await _SegmentLink("s0", reader, None).reply(verb, txn)
+            except gateway.SlotProtocolError:
+                return None
+
+        n = asyncio.run(go())
+        if expected is not None:
+            assert n == expected
+        elif n is not None:
+            assert type(n) is int and (verb == "COMMITTED" or n == 0)

@@ -2,12 +2,13 @@
 
 import asyncio
 import json
+import re
 import time
 from contextlib import asynccontextmanager
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gateflow.ingest as ingest_mod
@@ -463,6 +464,10 @@ class TestHttpServer:
         [
             pytest.param(_head(b"Content-Length: abc"), 400, id="Content-Length: abc-400"),
             pytest.param(_head(b"Content-Length: -3"), 400, id="Content-Length: -3-400"),
+            # past 4300 digits int() itself refuses the string
+            pytest.param(
+                _head(b"Content-Length: " + b"9" * 5000), 413, id="Content-Length-5000-digits-413"
+            ),
             pytest.param(
                 _head(b"Transfer-Encoding: chunked"), 411, id="Transfer-Encoding: chunked-411"
             ),
@@ -492,3 +497,105 @@ class TestHttpServer:
                 await c.close()
 
         asyncio.run(go())
+
+
+class _Sink:
+    """The writer half of a connection: keeps what is written."""
+
+    def __init__(self):
+        self.data = bytearray()
+        self.closed = False
+
+    def write(self, data):
+        assert not self.closed, "write after close"
+        self.data += data
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        self.closed = True
+
+    async def wait_closed(self):
+        pass
+
+
+_RESPONSE_HEAD = re.compile(
+    rb"HTTP/1\.1 (\d{3}) [A-Za-z ]+\r\nContent-Type: [a-z/]+\r\n"
+    rb"Content-Length: (\d+)\r\nConnection: (keep-alive|close)\r\n\r\n"
+)
+
+
+def split_responses(data):
+    """(status, connection) of each response in ``data``; fails unless
+    ``data`` is whole responses back to back."""
+    responses = []
+    pos = 0
+    while pos < len(data):
+        head = _RESPONSE_HEAD.match(data, pos)
+        assert head is not None, bytes(data[pos:pos + 120])
+        pos = head.end() + int(head[2])
+        assert pos <= len(data), "response body cut short"
+        responses.append((int(head[1]), head[3].decode()))
+    return responses
+
+
+_HEADERS = [
+    b"Host: t", b"Content-Length: 0", b"Content-Length: 12", b"Content-Length: 012",
+    b"Content-Length: " + b"0" * 30 + b"5", b"Content-Length: " + b"9" * 5000,
+    b"Content-Length: -1", b"Content-Length: abc", b"Content-Length: \xd9\xa5",
+    b"Content-Length: 1e3", b"Transfer-Encoding: chunked", b"Connection: close",
+    b"Connection: keep-alive", b"X-Note: \xff\xfe", b"no colon", b":",
+]
+
+
+@st.composite
+def request_streams(draw):
+    """What a client may send on one connection: a few requests built
+    from plausible and broken parts, or bytes with no shape at all."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=200))
+    stream = b""
+    for _ in range(draw(st.integers(1, 3))):
+        eol = draw(st.sampled_from([b"\r\n", b"\n"]))
+        method = draw(st.sampled_from([b"GET", b"POST", b"PUT", b"", b"G\xffT"]))
+        target = draw(st.sampled_from([b"/ingest", b"/healthz", b"/metrics", b"/nope", b""]))
+        request = [method + b" " + target + draw(st.sampled_from([b" HTTP/1.1", b"", b" a b"]))]
+        request += draw(st.lists(
+            st.one_of(st.sampled_from(_HEADERS), st.binary(max_size=20)), max_size=4))
+        body = draw(st.sampled_from([b"", GOOD.encode(), f"{GOOD}\n{BAD_TS}\n".encode()]))
+        stream += eol.join(request) + eol + eol + body
+    return stream + draw(st.binary(max_size=20))
+
+
+class TestHttpFraming:
+    """``_read_head`` and ``_serve`` on arbitrary bytes: every input is
+    answered with whole, well-formed responses or a clean close, and no
+    exception leaves the connection handler (where the loop's handler
+    would catch it and the client would get nothing)."""
+
+    @given(request_streams())
+    @example(_head(b"Content-Length: " + b"9" * 5000))
+    @example(_head(b"X-Pad: " + b"a" * 70_000))
+    @example(b"garbage\r\n")
+    @example(b"")
+    @settings(max_examples=300, deadline=None)
+    def test_any_bytes_get_responses_or_a_clean_close(self, stream):
+        async def go():
+            srv = IngestServer(RowFifo(None), SCHEMA, Counters())
+            reader = asyncio.StreamReader()  # the 64 KiB limit start_server uses
+            reader.feed_data(stream)
+            reader.feed_eof()
+            sink = _Sink()
+            await asyncio.wait_for(srv._serve(reader, sink), 5)
+            assert sink.closed and not srv._conns
+            return split_responses(sink.data)
+
+        responses = asyncio.run(go())
+        # only the last response may end the connection, and every
+        # refusal of a request the server cannot frame does
+        assert all(conn == "keep-alive" for _, conn in responses[:-1])
+        for status, conn in responses:
+            assert status in (200, 400, 404, 405, 411, 413, 429)
+            if status in (400, 411, 413):
+                assert conn == "close"

@@ -263,6 +263,7 @@ class TestAbort:
                         break
                     await asyncio.sleep(0.005)
                 assert d.txns["gone"].state is TxnState.ABORTED
+                assert d.txns["gone"].rows == []  # the abort frees them
                 assert d.store.total_rows == 0
                 assert d.store.txn_rows("gone") == 0
                 assert d.store.visibility_probe("dev0") is None
