@@ -12,8 +12,11 @@ Wire protocol, one connection per slot-segment pair, newline framed:
 
 A line that is exactly ``EOF`` or starts with ``BEGIN `` is a control
 line; every other non-empty line is a row. While a transaction is
-open, each run of rows is decoded and split as it arrives, so ``EOF``
+open, each run of rows is decoded and counted as it arrives, so ``EOF``
 only hands the rows over to the commit; empty lines are not rows.
+Rows stay in the decoded text they arrived in (``RowText``), one
+``str`` per run and not one per row, in the open transaction and in
+the store alike, and are split out only when something reads them.
 
 Rows become query-visible atomically when the commit latency elapses,
 never row-by-row; a connection dropped before EOF aborts its
@@ -31,7 +34,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional
 
 from .config import SegmentConfig
 
@@ -104,6 +107,50 @@ class TxnState(str, Enum):
     ABORTED = "aborted"
 
 
+class RowText:
+    """Rows as the decoded text they arrived in: ``runs`` of whole
+    lines, each line one row ending in its newline, none empty, and
+    ``len`` the number of rows. One ``str`` per run rather than one
+    per row keeps a store of millions of rows at a few thousand
+    objects: the cyclic garbage collector walks every item of a list
+    it examines, and walking a list of row strings stalled the
+    segment's event loop for tens of milliseconds."""
+
+    __slots__ = ("runs", "count")
+
+    def __init__(self) -> None:
+        self.runs: list[str] = []
+        self.count = 0
+
+    @classmethod
+    def of(cls, rows: Iterable[str]) -> "RowText":
+        """The text of rows given one by one, each without a newline."""
+        text = cls()
+        rows = list(rows)
+        if rows:
+            text.runs.append("".join(f"{row}\n" for row in rows))
+            text.count = len(rows)
+        return text
+
+    def add_run(self, run: bytes) -> None:
+        """Append the rows of one run of whole lines; empty lines are
+        not rows. No UTF-8 sequence holds a newline byte, so decoding
+        run by run gives the text that decoding their join gives."""
+        text = run.decode("utf-8", errors="replace")
+        if text.startswith("\n") or "\n\n" in text:
+            text = "".join(f"{line}\n" for line in text.split("\n") if line)
+        if text:
+            self.runs.append(text)
+            self.count += text.count("\n")
+
+    def __len__(self) -> int:
+        return self.count
+
+    def lines(self) -> list[str]:
+        """The rows, each without its newline."""
+        return "".join(self.runs).split("\n")[:-1]
+
+
 @dataclass
 class SegmentTxn:
     """One transaction a segment has seen: BEGUN while its rows arrive,
@@ -113,17 +160,11 @@ class SegmentTxn:
 
     txn_id: str
     state: TxnState = TxnState.BEGUN
-    rows: list[str] = field(default_factory=list)
+    rows: RowText = field(default_factory=RowText)
 
-    def add_run(self, run: bytes) -> None:
-        """Append the rows of one run of whole lines; empty lines are
-        not rows. No UTF-8 sequence holds a newline byte, so decoding
-        run by run gives the text that decoding their join gives."""
-        self.rows.extend(filter(None, run.decode("utf-8", errors="replace").split("\n")))
-
-    def take_rows(self) -> list[str]:
+    def take_rows(self) -> RowText:
         """The received rows; the transaction keeps none of them."""
-        rows, self.rows = self.rows, []
+        rows, self.rows = self.rows, RowText()
         return rows
 
 
@@ -132,29 +173,35 @@ class SegmentStore:
 
     ``publish`` adds a transaction's rows under one lock, and every
     reader takes the same lock, so a reader sees a transaction's rows
-    either not at all or completely. The latest-row index is built on
-    read: ``visibility_probe`` first folds in the rows published since
-    the last probe. Probe methods may be called from any thread.
+    either not at all or completely. Rows are kept as the text runs
+    they were published in (see ``RowText``). The latest-row index is
+    built on read: ``visibility_probe`` first folds in the runs
+    published since the last probe. Probe methods may be called from
+    any thread.
     """
 
     def __init__(self, segment_id: str, dump_path: str | None = None) -> None:
         self.segment_id = segment_id
         self._lock = threading.Lock()
-        self._lines: list[str] = []
+        self._runs: list[str] = []
+        self._rows = 0
         self._latest: dict[str, tuple[int, tuple[str, ...]]] = {}
-        self._indexed = 0  # leading lines folded into _latest
+        self._indexed = 0  # leading runs folded into _latest
         self._txn_rows: dict[str, int] = {}
         self._dump = open(dump_path, "a", encoding="utf-8") if dump_path else None
         self.last_publish_us = 0  # monotonic stamp of the latest commit
 
-    def publish(self, txn_id: str, rows: list[str]) -> None:
+    def publish(self, txn_id: str, rows: RowText | Iterable[str]) -> None:
         """Make a transaction's rows visible, all at once."""
+        if not isinstance(rows, RowText):
+            rows = RowText.of(rows)
         with self._lock:
-            self._lines.extend(rows)
+            self._runs.extend(rows.runs)
+            self._rows += len(rows)
             self._txn_rows[txn_id] = len(rows)
             self.last_publish_us = time.monotonic_ns() // 1000
             if self._dump is not None:
-                self._dump.writelines(f"{txn_id},{line}\n" for line in rows)
+                self._dump.writelines(f"{txn_id},{line}\n" for line in rows.lines())
                 self._dump.flush()
 
     def visibility_probe(self, device_id: str) -> Optional[tuple[int, tuple[str, ...]]]:
@@ -163,7 +210,7 @@ class SegmentStore:
         without an integer timestamp is never the latest."""
         with self._lock:
             latest = self._latest
-            for line in self._lines[self._indexed:]:
+            for line in "".join(self._runs[self._indexed:]).split("\n")[:-1]:
                 fields = line.split(",")
                 try:
                     ts = int(fields[1])
@@ -172,7 +219,7 @@ class SegmentStore:
                 cur = latest.get(fields[0])
                 if cur is None or ts >= cur[0]:
                     latest[fields[0]] = (ts, tuple(fields[2:]))
-            self._indexed = len(self._lines)
+            self._indexed = len(self._runs)
             return latest.get(device_id)
 
     def txn_rows(self, txn_id: str) -> int:
@@ -182,12 +229,12 @@ class SegmentStore:
 
     def committed_lines(self) -> list[str]:
         with self._lock:
-            return list(self._lines)
+            return "".join(self._runs).split("\n")[:-1]
 
     @property
     def total_rows(self) -> int:
         with self._lock:
-            return len(self._lines)
+            return self._rows
 
     def close(self) -> None:
         if self._dump is not None:
@@ -253,7 +300,7 @@ class SegmentDaemon:
                 for control, data in framer.feed(chunk):
                     if not control:
                         if active is not None:
-                            active.add_run(data)
+                            active.rows.add_run(data)
                             continue
                         reason = ERR_ORDER if last_txn != "-" else ERR_UNKNOWN
                         for raw in data.split(b"\n"):
@@ -305,7 +352,7 @@ class SegmentDaemon:
                 # dropped mid-transaction: nothing becomes visible,
                 # and the daemon keeps the txn id but not its rows
                 active.state = TxnState.ABORTED
-                active.rows = []
+                active.rows = RowText()
             self._conns.pop(writer, None)
             writer.close()
             try:

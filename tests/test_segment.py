@@ -15,7 +15,9 @@ from gateflow.segment import (
     ERR_ORDER,
     ERR_UNKNOWN,
     LatencyModel,
+    RowText,
     SegmentDaemon,
+    SegmentStore,
     TxnState,
     WireFramer,
     start_cluster,
@@ -263,7 +265,7 @@ class TestAbort:
                         break
                     await asyncio.sleep(0.005)
                 assert d.txns["gone"].state is TxnState.ABORTED
-                assert d.txns["gone"].rows == []  # the abort frees them
+                assert len(d.txns["gone"].rows) == 0  # the abort frees them
                 assert d.store.total_rows == 0
                 assert d.store.txn_rows("gone") == 0
                 assert d.store.visibility_probe("dev0") is None
@@ -541,6 +543,52 @@ class TestWireFraming:
         assert writer.out.decode().split("\n")[:-1] == replies
         assert d.store.committed_lines() == committed
         assert {t: x.state for t, x in d.txns.items()} == states
+
+
+_ROW_LINES = [b"", b"d1,1,2", b"\xff\xfe,1,2", b"d,1,x\r", b"d,1,\xe2\x82", "d,1,\u00e9".encode()]
+
+
+class TestRowText:
+    @given(runs=st.lists(
+        st.lists(st.sampled_from(_ROW_LINES), min_size=1, max_size=6)
+        .map(lambda lines: b"".join(line + b"\n" for line in lines)),
+        max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_runs_give_the_rows_of_their_joined_text(self, runs):
+        rows = RowText()
+        for run in runs:
+            rows.add_run(run)
+        expected = list(filter(None, b"".join(runs).decode("utf-8", errors="replace").split("\n")))
+        assert rows.lines() == expected
+        assert len(rows) == len(expected)
+        assert all(run and "\n\n" not in run and not run.startswith("\n") for run in rows.runs)
+
+    def test_a_run_of_empty_lines_adds_nothing(self):
+        rows = RowText()
+        rows.add_run(b"\n\n\n")
+        assert (rows.runs, len(rows), rows.lines()) == ([], 0, [])
+
+    def test_rows_given_one_by_one_round_trip(self):
+        assert RowText.of(["a,1,1", "b,2,2"]).lines() == ["a,1,1", "b,2,2"]
+        assert len(RowText.of(["a,1,1", "b,2,2"])) == 2
+        assert (RowText.of([]).runs, len(RowText.of([]))) == ([], 0)
+
+    def test_a_store_keeps_one_string_per_run_not_per_row(self):
+        # the cyclic collector walks every item of a list it meets, so
+        # a list holding a string per row made one collection walk them all
+        rows = RowText()
+        for i in range(50):
+            rows.add_run("".join(f"dev{j % 4},{i},{j}\n" for j in range(1000)).encode())
+        store = SegmentStore("seg")
+        store.publish("big", rows)
+        store.publish("few", ["devZ,1,z"])
+        assert len(rows.runs) == 50
+        assert store.total_rows == 50_001
+        assert store.txn_rows("big") == 50_000
+        lines = store.committed_lines()
+        assert (len(lines), lines[0], lines[-2], lines[-1]) \
+            == (50_001, "dev0,0,0", "dev3,49,999", "devZ,1,z")
+        assert store.visibility_probe("dev3") == (49, ("999",))
 
 
 class TestCluster:
