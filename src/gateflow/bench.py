@@ -16,7 +16,7 @@ import time
 from dataclasses import replace
 from typing import Any
 
-from .config import GatewayConfig, SegmentConfig
+from .config import GatewayConfig, SegmentConfig, require
 from .gateway import Gateway
 from .loadgen import run_loadgen
 from .metrics import IngestionRun, ingestion_speed, scalability
@@ -40,18 +40,36 @@ SCENARIO_DEFAULTS = {
 
 
 def load_scenario(data: dict[str, Any]) -> dict[str, Any]:
+    """The scenario ``data`` overrides the defaults with. A key no
+    scenario takes, a value of the wrong type or one out of range is a
+    ValueError, raised before anything compares or iterates it."""
     scenario = dict(SCENARIO_DEFAULTS)
     unknown = set(data) - set(scenario)
     if unknown:
         raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
     scenario.update(data)
+    if type(scenario["quiesce_timeout_s"]) is int:
+        scenario["quiesce_timeout_s"] = float(scenario["quiesce_timeout_s"])
+    require(list, "scenario ", nodes=scenario["nodes"])
     nodes = scenario["nodes"]
+    require(int, "scenario ", **{f"nodes[{i}]": n for i, n in enumerate(nodes)})
+    require(str, "scenario ", schema=scenario["schema"])
+    require(float, "scenario ", quiesce_timeout_s=scenario["quiesce_timeout_s"])
+    if scenario["queue_capacity"] is not None:
+        require(int, "scenario ", queue_capacity=scenario["queue_capacity"])
+    # every other value is a count or a duration in whole units
+    ints = {key: value for key, value in scenario.items()
+            if key not in ("nodes", "schema", "quiesce_timeout_s", "queue_capacity")}
+    require(int, "scenario ", **ints)
     if not nodes or any(n < 1 for n in nodes):
         raise ValueError("nodes must be a non-empty list of counts >= 1")
     if any(a >= b for a, b in zip(nodes, nodes[1:])):
         raise ValueError("node counts must be strictly increasing")
-    if scenario["rows_per_node"] < 1:
-        raise ValueError("rows_per_node must be >= 1")
+    for key in ("rows_per_node", "devices", "batch_lines"):
+        if scenario[key] < 1:
+            raise ValueError(f"{key} must be >= 1")
+    if not scenario["quiesce_timeout_s"] > 0:
+        raise ValueError("quiesce_timeout_s must be positive")
     return scenario
 
 

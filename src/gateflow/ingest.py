@@ -14,8 +14,14 @@ the connection). Three routes:
     GET  /metrics  flat key=value counter document
 
 A malformed line is counted, logged, and skipped; it never affects its
-neighbors. Accepted records get a dense sequence number for audit; a
+neighbors. Accepted rows get a dense sequence number for audit; a
 backpressured line does not burn one.
+
+Rows are routed once, here: a post's accepted rows go to the queue as
+``Run``s, each already split into one encoded blob per segment, each
+row in the blob of the segment ``route_record`` names for its device.
+The send window writes those blobs as they are, so no row is parsed,
+routed or encoded again on its way to the wire.
 """
 
 from __future__ import annotations
@@ -26,19 +32,17 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
-from operator import itemgetter
+from operator import itemgetter, mod
+from zlib import crc32
 
 from .metrics import Counters
-from .pipeline import EnqueueResult, RowFifo
-from .records import LINE_BREAK, IngestError, Record, Schema, parse_record
+from .pipeline import EnqueueResult, RowFifo, Run
+from .records import LINE_BREAK, IngestError, Schema, parse_record
 
 MAX_BODY_BYTES = 8 * 1024 * 1024
 ERROR_LOG_LIMIT = 1000
 
 _first = itemgetter(0)
-# builds a Record from a (device_id, line, seq) tuple in C, as
-# ``Record._make`` does, without a Python call per row
-_new_record = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -62,26 +66,29 @@ def monotonic_us() -> int:
 
 
 class LineIngestor:
-    """The parse-and-enqueue worker behind ``POST /ingest``.
+    """The parse-and-enqueue worker behind ``POST /ingest``, for a
+    gateway of ``segments`` segments.
 
-    Owns the dense seq counter for records it accepts. Not safe for
+    Owns the dense seq counter for rows it accepts. Not safe for
     concurrent calls.
     """
 
-    def __init__(self, queue: RowFifo, schema: Schema) -> None:
+    def __init__(self, queue: RowFifo, schema: Schema, segments: int = 1) -> None:
         self.queue = queue
         self.schema = schema
+        self.segments = segments
         self.error_log: deque[IngestError] = deque(maxlen=ERROR_LOG_LIMIT)
         self.next_seq = 0
 
     def handle_post(self, body: str) -> IngestReport:
         """Validate a body and queue its accepted rows, in body order,
         until the queue refuses one. A run of lines the schema's
-        pattern matches goes to the queue with one ``extend``; every
-        other line goes alone through ``parse_record``. The outcome is
-        the one handling each line in turn gives: rejected lines before
-        the first refused row are logged with their line numbers, and
-        that row's line and every line after it are backpressured."""
+        pattern matches is cut to the queue's room and goes in as one
+        ``Run``; every other line goes alone through ``parse_record``
+        and in as a one-row run. The outcome is the one handling each
+        line in turn gives: rejected lines before the first refused row
+        are logged with their line numbers, and that row's line and
+        every line after it are backpressured."""
         accepted = rejected = backpressured = 0
         schema = self.schema
         run_end = schema.run_end
@@ -94,15 +101,15 @@ class LineIngestor:
         while pos < size:
             end = run_end(body, pos)
             if end > pos:
-                lines = body[pos:end].split("\n")
-                lines.pop()  # the empty tail after the run's last "\n"
-                n = len(lines)
-                devices = map(_first, map(str.partition, lines, repeat(",")))
-                taken = queue.extend(map(
-                    _new_record, repeat(Record), zip(devices, lines, range(seq, seq + n))
-                ))
-                seq += taken
-                accepted += taken
+                raw = body[pos:end].encode()
+                n = raw.count(b"\n")
+                taken = min(n, queue.room())
+                if taken:
+                    if taken < n:  # the lines that fit, with their "\n"
+                        raw = raw[:len(raw) - len(raw.split(b"\n", taken)[-1])]
+                    queue.enqueue(Run(self.blobs(raw), taken, seq))
+                    seq += taken
+                    accepted += taken
                 if taken < n:
                     # stop at the first full-queue signal so the
                     # backpressured lines are exactly the tail of the
@@ -123,7 +130,9 @@ class LineIngestor:
             if isinstance(parsed, IngestError):
                 self.error_log.append(parsed)
                 rejected += 1
-            elif queue.enqueue(parsed) is EnqueueResult.ACCEPTED:
+            elif queue.enqueue(
+                Run(self.blobs(f"{parsed.line}\n".encode()), 1, seq)
+            ) is EnqueueResult.ACCEPTED:
                 seq += 1
                 accepted += 1
             else:
@@ -132,6 +141,25 @@ class LineIngestor:
             pos = next_pos
         self.next_seq = seq
         return IngestReport(accepted, rejected, backpressured)
+
+    def blobs(self, raw: bytes) -> tuple[bytes, ...]:
+        """The "\\n"-ended lines of ``raw`` as one blob per segment:
+        each line, in order, in the blob of the segment that
+        ``route_record`` names for its device, crc32 of the device's
+        UTF-8 bytes modulo the segment count."""
+        segments = self.segments
+        if segments == 1:
+            return (raw,)
+        lines = raw.split(b"\n")
+        lines.pop()  # the empty tail after the last "\n"
+        buffers: list[list[bytes]] = [[] for _ in range(segments)]
+        appends = [buf.append for buf in buffers]
+        devices = map(_first, map(bytes.partition, lines, repeat(b",")))
+        for line, segment in zip(lines, map(mod, map(crc32, devices), repeat(segments))):
+            appends[segment](line)
+        for buf in buffers:
+            buf.append(b"")  # every row, the last too, ends in \n
+        return tuple(map(b"\n".join, buffers))
 
 
 def _http_response(
@@ -174,8 +202,9 @@ async def _read_head(
 
 
 class IngestServer:
-    """The HTTP front of the gateway. Every connection feeds the one
-    ingestor, on the gateway's event loop; ``ingestors`` lists it."""
+    """The HTTP front of a gateway of ``segments`` segments. Every
+    connection feeds the one ingestor, on the gateway's event loop;
+    ``ingestors`` lists it."""
 
     def __init__(
         self,
@@ -184,9 +213,10 @@ class IngestServer:
         counters: Counters,
         host: str = "127.0.0.1",
         port: int = 0,
+        segments: int = 1,
     ) -> None:
         self.counters = counters
-        self.ingestors = [LineIngestor(queue, schema)]
+        self.ingestors = [LineIngestor(queue, schema, segments)]
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None

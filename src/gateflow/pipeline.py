@@ -1,9 +1,10 @@
 """FIFOs between the ingest listener and the sending slot.
 
-``RowFifo`` is the live gateway's queue: a deque plus a capacity bound,
-for producers and a consumer that share one asyncio event loop. An
-optional ``on_fill`` callback hears each time the queue stops being
-empty; the gateway wakes its sender from there.
+``RowFifo`` is the live gateway's queue: a deque of ``Run``s, each a
+stretch of one post's rows already routed and encoded as one blob per
+segment, bounded in rows, for producers and a consumer that share one
+asyncio event loop. An optional ``on_fill`` callback hears each time
+the queue stops being empty; the gateway wakes its sender from there.
 
 ``LockFreeQueue`` is the reproduced multi-producer multi-consumer
 design, kept as the reference the queue contract is tested against. It
@@ -17,10 +18,11 @@ tuple swapped under a private lock; readers load the tuple without
 locking, which the GIL makes atomic. All higher-level lock-freedom
 claims are relative to that primitive.
 
-Both share one contract: ``enqueue`` answers BACKPRESSURE instead of
-growing past the capacity, ``extend`` stops at the first refusal,
-``dequeue``/``drain_up_to`` take from the head, and ``approx_len`` is
-exact when nothing is in flight.
+Both share one contract, with a run standing for its rows in
+``RowFifo``: ``enqueue`` answers BACKPRESSURE instead of growing past
+the capacity, ``dequeue``/``drain_up_to`` take from the head, and
+``approx_len`` is exact when nothing is in flight. ``LockFreeQueue``
+also has ``extend``, which stops at the first refusal.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ import sys
 import threading
 from collections import deque
 from enum import Enum
-from itertools import islice
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 
 class EnqueueResult(Enum):
@@ -179,83 +180,106 @@ class LockFreeQueue:
         return n
 
 
-class RowFifo:
-    """Bounded-or-unbounded FIFO for one event loop; not thread-safe.
+class Run(NamedTuple):
+    """A stretch of accepted rows on their way to the segments.
 
-    The live gateway parses, enqueues and drains on a single asyncio
+    ``blobs`` holds one encoded, "\\n"-ended blob per segment, in
+    segment order (``b""`` where the segment gets no row), each row in
+    the blob of the segment ``route_record`` names for its device;
+    ``rows`` counts them, and ``seq`` is the accept number of the first
+    row, or -1 for rows put back after a failed send."""
+
+    blobs: tuple[bytes, ...]
+    rows: int
+    seq: int
+
+
+class RowFifo:
+    """A queue of ``Run``s for one event loop, bounded in rows; not
+    thread-safe.
+
+    The live gateway validates, queues and sends on a single asyncio
     thread, where the compare-and-swap machinery of ``LockFreeQueue``
-    buys nothing and costs most of the per-row queue time, and a run
-    of a post's rows arrives with one ``extend``. The first item of a
-    non-empty stretch, whether ``enqueue``, ``extend`` or ``requeue``
-    puts it in, calls ``on_fill``; the rest of the stretch does not.
+    buys nothing. A post's rows travel as runs, so the queue costs a
+    deque operation per run, not per row. ``queue_capacity`` and
+    ``approx_len`` count rows; ``room`` tells a producer how many more
+    rows fit, so it can cut a run to fit. The first run of a non-empty
+    stretch, whether ``enqueue`` or ``requeue`` puts it in, calls
+    ``on_fill``; the rest of the stretch does not.
     """
 
     def __init__(self, capacity: int | None = None,
                  on_fill: Callable[[], None] | None = None) -> None:
         if capacity is not None and capacity < 0:
             raise ValueError("capacity must be non-negative or None")
-        self._items: deque = deque()
+        self._runs: deque[Run] = deque()
+        self._rows = 0
         self._limit = sys.maxsize if capacity is None else capacity
         self.on_fill = on_fill
 
-    def enqueue(self, item: Any) -> EnqueueResult:
-        if item is None:
+    def room(self) -> int:
+        """How many more rows ``enqueue`` takes."""
+        return max(0, self._limit - self._rows)
+
+    def enqueue(self, run: Run) -> EnqueueResult:
+        """Queue a whole run, or refuse it when its rows do not fit."""
+        if run is None:
             raise ValueError("queue items may not be None")
-        items = self._items
-        n = len(items)
-        if n >= self._limit:
+        if run.rows > self._limit - self._rows:
             return EnqueueResult.BACKPRESSURE
-        items.append(item)
-        if not n:
+        runs = self._runs
+        runs.append(run)
+        self._rows += run.rows
+        if len(runs) == 1:
             self._filled()
         return EnqueueResult.ACCEPTED
 
-    def extend(self, items: Iterable[Any]) -> int:
-        """Enqueue items in order until exhausted or the queue is full;
-        returns how many went in. One ``deque.extend`` takes them, so
-        unlike ``enqueue`` it does not check each for None. On an empty
-        queue ``_filled`` runs once, after the first item."""
-        queue = self._items
-        n = len(queue)
-        fitting = islice(items, max(0, self._limit - n))
-        if not n:
-            for first in fitting:
-                queue.append(first)
-                self._filled()
-                break
-        queue.extend(fitting)
-        return len(queue) - n
-
-    def requeue(self, items: list) -> None:
-        """Put already-admitted items back at the head, in order.
+    def requeue(self, runs: list[Run]) -> None:
+        """Put already-admitted runs back at the head, in order.
 
         The capacity does not apply: these rows were accepted once, and
         refusing them now would lose them.
         """
-        was_empty = not self._items
-        self._items.extendleft(reversed(items))
-        if items and was_empty:
+        was_empty = not self._runs
+        self._runs.extendleft(reversed(runs))
+        self._rows += sum(run.rows for run in runs)
+        if runs and was_empty:
             self._filled()
 
     def _filled(self) -> None:
         if self.on_fill is not None:
             self.on_fill()
 
-    def dequeue(self) -> Any | None:
-        items = self._items
-        return items.popleft() if items else None
+    def dequeue(self) -> Run | None:
+        if not self._runs:
+            return None
+        run = self._runs.popleft()
+        self._rows -= run.rows
+        return run
 
-    def drain_up_to(self, max_items: int) -> list:
-        if max_items < 0:
-            raise ValueError("max_items must be >= 0")
-        items = self._items
-        if max_items >= len(items):
-            out = list(items)
-            items.clear()
+    def drain_up_to(self, max_rows: int) -> list[Run]:
+        """Take whole runs from the head until they hold ``max_rows``
+        rows or the queue is empty; the last run taken may carry the
+        count past ``max_rows``."""
+        if max_rows < 0:
+            raise ValueError("max_rows must be >= 0")
+        runs = self._runs
+        if max_rows >= self._rows:
+            out = list(runs)
+            runs.clear()
+            self._rows = 0
             return out
-        popleft = items.popleft
-        return [popleft() for _ in range(max_items)]
+        out = []
+        taken = 0
+        popleft = runs.popleft
+        while taken < max_rows:
+            run = popleft()
+            out.append(run)
+            taken += run.rows
+        self._rows -= taken
+        return out
 
     def approx_len(self) -> int:
-        """Exact: there are no in-flight operations on one loop."""
-        return len(self._items)
+        """Rows queued; exact, as there are no in-flight operations on
+        one loop."""
+        return self._rows

@@ -52,6 +52,31 @@ class TestLoadScenario:
         with pytest.raises(ValueError, match="rows_per_node"):
             load_scenario({"rows_per_node": 0})
 
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"nodes": 5}, "nodes"),
+            ({"nodes": [1, "2"]}, r"nodes\[1\]"),
+            ({"nodes": [True, 2]}, r"nodes\[0\]"),
+            ({"rows_per_node": "x"}, "rows_per_node"),
+            ({"rows_per_node": 2.5}, "rows_per_node"),
+            ({"devices": "64"}, "devices"),
+            ({"devices": 0}, "devices"),
+            ({"batch_lines": None}, "batch_lines"),
+            ({"batch_lines": -1}, "batch_lines"),
+            ({"quiesce_timeout_s": "soon"}, "quiesce_timeout_s"),
+            ({"quiesce_timeout_s": 0}, "quiesce_timeout_s"),
+            ({"interval_ms": [100]}, "interval_ms"),
+            ({"schema": 5}, "schema"),
+        ],
+    )
+    def test_wrong_type_or_range_is_a_value_error(self, data, key):
+        with pytest.raises(ValueError, match=key):
+            load_scenario(data)
+
+    def test_a_whole_timeout_is_taken_as_seconds(self):
+        assert load_scenario({"quiesce_timeout_s": 5})["quiesce_timeout_s"] == 5.0
+
 
 class TestWriteReport:
     def test_report_round_trips_through_json(self, tmp_path):

@@ -11,7 +11,7 @@ import yaml
 from gateflow.cli import main
 from gateflow.ingest import IngestServer
 from gateflow.metrics import Counters
-from gateflow.pipeline import LockFreeQueue
+from gateflow.pipeline import RowFifo
 from gateflow.records import Schema
 
 
@@ -48,7 +48,7 @@ class BackgroundIngest:
 
             async def boot():
                 srv = IngestServer(
-                    LockFreeQueue(), Schema.parse_spec("seq:int"), Counters()
+                    RowFifo(), Schema.parse_spec("seq:int"), Counters()
                 )
                 await srv.start()
                 holder["srv"] = srv
@@ -268,6 +268,14 @@ class TestLoadgen:
 
 
 class TestBench:
+    @pytest.mark.parametrize("data", [{"nodes": 5}, {"rows_per_node": "x"}])
+    def test_wrong_typed_scenario_is_usage_error(self, tmp_path, capsys, data):
+        scenario = tmp_path / "bench.yaml"
+        scenario.write_text(yaml.safe_dump(data))
+        assert main(["bench", "--scenario", str(scenario)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario ") and "Traceback" not in err
+
     def test_single_node_scenario(self, tmp_path, capsys):
         scenario = tmp_path / "bench.yaml"
         scenario.write_text(

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from gateflow.config import GatewayConfig, SegmentConfig
 from gateflow import gateway
 from gateflow.gateway import Gateway, SlotRunner, _SegmentLink
-from gateflow.records import Record
+from gateflow.pipeline import Run
 from gateflow.segment import SegmentDaemon, start_cluster
 from gateflow.slot import Initiator, Slot, SlotPhase, route_record
 
@@ -287,34 +287,43 @@ class TestSendWindow:
 
         asyncio.run(go())
 
-    @staticmethod
-    def one_link_runner():
-        """A gateway that is never started and a runner in WAIT with
-        one link: a bare reader and a writer that records its bytes."""
+    class Writer:
+        """Records the blobs written to it, one entry per blob."""
 
-        class Writer:
-            def __init__(self):
-                self.written = []
+        def __init__(self):
+            self.written = []
 
-            def write(self, data):
-                self.written.append(data)
+        def write(self, data):
+            self.written.append(data)
 
-            async def drain(self):
-                pass
+        def writelines(self, data):
+            self.written.extend(data)
 
+        async def drain(self):
+            pass
+
+    @classmethod
+    def runner_with_links(cls, n_segments=1, interval_ms=50):
+        """A gateway that is never started and a runner in WAIT with a
+        link per segment: a bare reader and a recording ``Writer``."""
         config = GatewayConfig(
-            segments=(SegmentConfig(id="seg0", port=0),),
+            segments=tuple(SegmentConfig(id=f"seg{i}", port=0) for i in range(n_segments)),
             listen_addr="127.0.0.1:0",
             schema="seq:int",
-            interval_ms=50,
+            interval_ms=interval_ms,
         )
         gw = Gateway(config)
         slot = Slot(slot_id=gw.state.note_activated(0))
         slot.transition(SlotPhase.WAIT, Initiator.SCHEDULER, 1)
         runner = SlotRunner(gw, slot)
-        reader, writer = asyncio.StreamReader(), Writer()
-        runner.links.append(_SegmentLink("seg0", reader, writer))
-        return gw, runner, reader, writer
+        for i in range(n_segments):
+            runner.links.append(_SegmentLink(f"seg{i}", asyncio.StreamReader(), cls.Writer()))
+        return gw, runner
+
+    @classmethod
+    def one_link_runner(cls):
+        gw, runner = cls.runner_with_links()
+        return gw, runner, runner.links[0].reader, runner.links[0].writer
 
     def test_link_lost_in_the_last_wait_stops_the_window_before_eof(self):
         # the segment hangs up while the window sleeps out its last
@@ -322,7 +331,7 @@ class TestSendWindow:
         # write EOF, so the batch stays re-enqueueable
         async def go():
             gw, runner, reader, writer = self.one_link_runner()
-            gw.queue.enqueue(Record("d1", "d1,1,1", 0))
+            gw.queue.enqueue(Run((b"d1,1,1\n",), 1, 0))
             loop = asyncio.get_running_loop()
             # after the window drained its row and went to sleep
             loop.call_later(0.02, reader.feed_eof)
@@ -337,12 +346,16 @@ class TestSendWindow:
 
     def test_full_batch_holds_to_the_end_of_the_window(self, monkeypatch):
         # with no room left the window neither drains nor waits on the
-        # non-empty queue again: it sleeps out its time once
+        # non-empty queue again: it sleeps out its time once. The cap is
+        # soft: the run that reaches it is taken whole
         monkeypatch.setattr(gateway, "MAX_BATCH_ROWS", 2)
 
         async def go():
             gw, runner, _, writer = self.one_link_runner()
-            gw.queue.extend(Record("d1", f"d1,{i},{i}", i) for i in range(3))
+            runs = [Run((b"d1,0,0\n",), 1, 0), Run((b"d1,1,1\nd1,2,2\n",), 2, 1),
+                    Run((b"d1,3,3\n",), 1, 3)]
+            for run in runs:
+                gw.queue.enqueue(run)
             drain_up_to = gw.queue.drain_up_to
             calls = []
             gw.queue.drain_up_to = lambda n: calls.append(n) or drain_up_to(n)
@@ -351,8 +364,59 @@ class TestSendWindow:
             await runner._send_window()
             assert loop.time() - start >= 0.05
             assert calls == [2]
-            assert writer.written == [b"d1,0,0\nd1,1,1\n"]
-            assert runner.batch == 2 and gw.queue.approx_len() == 1
+            assert writer.written == [b"d1,0,0\n", b"d1,1,1\nd1,2,2\n"]
+            assert runner.batch == 3 and gw.queue.approx_len() == 1
+            assert gw.queue.dequeue() is runs[2]
+
+        asyncio.run(go())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 5), max_size=8),
+        cap=st.integers(1, 12),
+        n_segments=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_a_window_takes_whole_runs_up_to_the_soft_cap(self, sizes, cap, n_segments, data):
+        # whole runs from the head until the batch reaches the cap, the
+        # last taken past it by less than its own rows; each link gets
+        # its segment's non-empty blobs in run order, the rest stay
+        # queued in order
+        runs = []
+        row = 0
+        for seq, size in enumerate(sizes):
+            segs = data.draw(st.lists(st.integers(0, n_segments - 1), min_size=size,
+                                      max_size=size))
+            blobs = [b""] * n_segments
+            for seg in segs:
+                blobs[seg] += f"d{seg},{row},{row}\n".encode()
+                row += 1
+            runs.append(Run(tuple(blobs), size, seq))
+        taken = 0
+        batch = 0
+        while taken < len(runs) and batch < cap:
+            batch += runs[taken].rows
+            taken += 1
+
+        async def go():
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(gateway, "MAX_BATCH_ROWS", cap)
+                gw, runner = self.runner_with_links(n_segments, interval_ms=5)
+                for run in runs:
+                    gw.queue.enqueue(run)
+                await runner._send_window()
+            return gw, runner
+
+        gw, runner = asyncio.run(go())
+        assert runner.batch == batch == sum(run.rows for run in runs[:taken])
+        if taken:
+            assert batch - runs[taken - 1].rows < cap
+        for i, link in enumerate(runner.links):
+            blobs = [run.blobs[i] for run in runs[:taken] if run.blobs[i]]
+            assert link.writer.written == blobs
+            assert link.sent == blobs
+        assert [gw.queue.dequeue() for _ in runs[taken:]] == runs[taken:]
+        assert gw.queue.approx_len() == 0
 
         asyncio.run(go())
 
@@ -715,8 +779,9 @@ class TestRetainedBatch:
             _SegmentLink("seg1", None, None, sent=[b"c,1,3\n"], eof_sent=True),
             _SegmentLink("seg2", None, None, sent=[b"d,1,4\n", b"e,1,5\nd,2,6\n"]),
         ]
+        sent = [list(link.sent) for link in runner.links]
         runner.batch = 7
-        later = Record("z", "z,9,9", 9)
+        later = Run((b"", b"", b"z,9,9\n"), 1, 9)
         gw.queue.enqueue(later)
 
         error = ConnectionResetError("segment seg0: link lost during send")
@@ -724,11 +789,26 @@ class TestRetainedBatch:
         gw.runner_done(runner, error)  # the task's exit, which retires the slot
 
         requeued = gw.queue.drain_up_to(100)
-        assert [r.line for r in requeued] == [
+        lines = [
+            (i, line.decode())
+            for run in requeued
+            for i, blob in enumerate(run.blobs)
+            for line in blob.splitlines()
+        ]
+        assert [line for _, line in lines] == [
             "a,1,0", "b,1,1", "a,2,2", "d,1,4", "e,1,5", "d,2,6", "z,9,9",
         ]
-        assert [r.device_id for r in requeued[:-1]] == ["a", "b", "a", "d", "e", "d"]
+        assert [line.split(",")[0] for _, line in lines[:-1]] == ["a", "b", "a", "d", "e", "d"]
+        assert [i for i, _ in lines[:-1]] == [0, 0, 0, 2, 2, 2]
         assert requeued[-1] is later
+        # each blob goes back as it was sent, a run of its own segment
+        assert [run.blobs for run in requeued[:-1]] == [
+            (blob, b"", b"") for blob in sent[0]] + [(b"", b"", blob) for blob in sent[2]]
+        assert all(run.blobs[i] is blob for run, blob, i in zip(
+            requeued, sent[0] + sent[2], [0, 0, 2, 2]))
+        assert [(run.rows, run.seq) for run in requeued[:-1]] == [(2, -1), (1, -1), (1, -1),
+                                                                  (2, -1)]
+        assert gw.queue.approx_len() == 0
         assert runner.batch == 0 and [link.sent for link in runner.links] == [[], [], []]
         assert slot.history[-1].initiator is Initiator.FAILURE
         assert slot.retired and sid not in gw.state.slots

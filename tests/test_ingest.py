@@ -5,6 +5,8 @@ import json
 import re
 import time
 from contextlib import asynccontextmanager
+from itertools import islice
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -14,8 +16,9 @@ from hypothesis import strategies as st
 import gateflow.ingest as ingest_mod
 from gateflow.ingest import IngestReport, IngestServer, LineIngestor, MAX_BODY_BYTES, monotonic_us
 from gateflow.metrics import COUNTER_KEYS, Counters
-from gateflow.pipeline import EnqueueResult, RowFifo
-from gateflow.records import IngestError, Schema, parse_record
+from gateflow.pipeline import EnqueueResult, LockFreeQueue, RowFifo, Run
+from gateflow.records import IngestError, Record, Schema, parse_record
+from gateflow.slot import route_record
 
 SCHEMA = Schema.parse_spec("value:float")
 
@@ -29,12 +32,40 @@ def ingestor(capacity=None):
     return LineIngestor(RowFifo(capacity), SCHEMA)
 
 
+class QueuedRow(NamedTuple):
+    device_id: str
+    line: str
+    seq: int
+    segment: int
+
+
+def expand(runs):
+    """The rows of ``runs``: each run's rows segment by segment, each
+    segment's in blob order, numbered on from the run's first seq (a
+    requeued run's rows all carry -1). With one segment that is body
+    order, and every row carries its own seq."""
+    rows = []
+    for run in runs:
+        k = 0
+        for segment, blob in enumerate(run.blobs):
+            for line in blob.decode().split("\n")[:-1]:
+                seq = run.seq + k if run.seq >= 0 else -1
+                rows.append(QueuedRow(line.partition(",")[0], line, seq, segment))
+                k += 1
+        assert k == run.rows
+    return rows
+
+
+def queued_rows(queue, max_rows=1 << 20):
+    return expand(queue.drain_up_to(max_rows))
+
+
 class TestHandlePost:
     def test_all_valid(self):
         ing = ingestor()
         report = ing.handle_post("dev1,1,0.5\ndev2,2,1.5\ndev3,3,2.5\n")
         assert (report.accepted, report.rejected, report.backpressured) == (3, 0, 0)
-        records = ing.queue.drain_up_to(10)
+        records = queued_rows(ing.queue)
         assert [r.device_id for r in records] == ["dev1", "dev2", "dev3"]
         assert [r.seq for r in records] == [0, 1, 2]
         # the row keeps the producer's line
@@ -49,14 +80,14 @@ class TestHandlePost:
         assert err.line_number == 2
         assert err.raw_line == BAD_ARITY
         # neighbors of the bad line are unaffected and densely numbered
-        assert [r.seq for r in ing.queue.drain_up_to(10)] == [0, 1]
+        assert [r.seq for r in queued_rows(ing.queue)] == [0, 1]
 
     def test_backpressure_is_exactly_the_tail(self):
         ing = ingestor(capacity=2)
         body = "\n".join(f"dev{i},{i},{i}.0" for i in range(5))
         report = ing.handle_post(body)
         assert (report.accepted, report.rejected, report.backpressured) == (2, 0, 3)
-        assert [r.device_id for r in ing.queue.drain_up_to(10)] == ["dev0", "dev1"]
+        assert [r.device_id for r in queued_rows(ing.queue)] == ["dev0", "dev1"]
 
     def test_backpressured_lines_do_not_burn_seqs(self):
         ing = ingestor(capacity=2)
@@ -68,7 +99,7 @@ class TestHandlePost:
         pending = lines
         for _ in range(10):
             report = ing.handle_post("\n".join(pending))
-            drained.extend(ing.queue.drain_up_to(10))
+            drained.extend(queued_rows(ing.queue))
             if not report.backpressured:
                 break
             pending = pending[len(pending) - report.backpressured:]
@@ -78,7 +109,7 @@ class TestHandlePost:
     def test_rejected_lines_do_not_burn_seqs(self):
         ing = ingestor()
         ing.handle_post(f"{BAD_TS}\n{GOOD}\n")
-        records = ing.queue.drain_up_to(10)
+        records = queued_rows(ing.queue)
         assert len(records) == 1
         assert records[0].seq == 0
 
@@ -123,7 +154,8 @@ class TestHandlePost:
 
 def per_line_handle_post(ing: LineIngestor, body: str) -> IngestReport:
     """The reference: each line of the body in turn through
-    ``parse_record`` and ``enqueue``, stopping at the first refusal."""
+    ``parse_record`` and ``enqueue``, stopping at the first refusal; the
+    queue holds ``Record``s, one item per row."""
     accepted = rejected = backpressured = 0
     lines = body.splitlines()
     seq = ing.next_seq
@@ -194,14 +226,18 @@ _SCHEMAS = [Schema.parse_spec(spec) for spec in (
 class TestBulkPathMatchesPerLine:
     """The run-at-a-time ``handle_post`` against the per-line loop it
     replaced: same report, error log, queued rows and ``next_seq``, at
-    every queue capacity from 0 to the body's line count. The bulk path
-    calls ``parse_record`` exactly on the lines the reference parses
-    that the run pattern does not match."""
+    every queue capacity from 0 to the body's line count, for one, two
+    and three segments. The bulk path calls ``parse_record`` exactly on
+    the lines the reference parses that the run pattern does not
+    match, and puts every row in the blob of the segment
+    ``route_record`` names."""
 
     @staticmethod
-    def outcome(handle, schema, body, capacity):
-        """(report, error log, queued rows, next_seq, line numbers
-        parsed); the reference's are cut down to the lines that, with
+    def outcome(handle, schema, body, capacity, segments=1):
+        """(report, error log, queued items, next_seq, line numbers
+        parsed); the bulk path queues runs on a ``RowFifo``, the
+        reference ``Record``s on a ``LockFreeQueue``, and the
+        reference's line numbers are cut down to the lines that, with
         their line break, are not a run of the pattern."""
         calls = []
 
@@ -209,37 +245,85 @@ class TestBulkPathMatchesPerLine:
             calls.append(kw["line_number"])
             return parse_record(line, schema, **kw)
 
+        bulk = handle is LineIngestor.handle_post
         in_run = [schema.run_end(ln, 0) == len(ln) for ln in body.splitlines(True)]
-        ing = LineIngestor(RowFifo(capacity), schema)
+        queue = RowFifo(capacity) if bulk else LockFreeQueue(capacity)
+        ing = LineIngestor(queue, schema, segments)
         ing.next_seq = 5
         with mock.patch.object(ingest_mod, "parse_record", counting_parse):
             report = handle(ing, body)
         return (
             report,
             [(e.line_number, e.raw_line, e.reason) for e in ing.error_log],
-            [tuple(r) for r in ing.queue.drain_up_to(1 << 20)],
+            queue.drain_up_to(1 << 20),
             ing.next_seq,
-            calls if handle is LineIngestor.handle_post
-            else [n for n in calls if not in_run[n - 1]],
+            calls if bulk else [n for n in calls if not in_run[n - 1]],
         )
 
-    @given(data=st.data(), schema=st.sampled_from(_SCHEMAS))
+    @staticmethod
+    def in_runs(records, runs, segments):
+        """The reference's rows cut where the runs cut them and laid out
+        as ``expand`` lays out a run. Each run must hold the next
+        ``rows`` seqs of the reference, in order."""
+        rows = []
+        records = iter(records)
+        for run in runs:
+            part = list(islice(records, run.rows))
+            assert [r.seq for r in part] == list(range(run.seq, run.seq + run.rows))
+            segment = [route_record(r.device_id, segments) for r in part]
+            order = sorted(range(len(part)), key=segment.__getitem__)  # stable
+            rows += [QueuedRow(part[i].device_id, part[i].line, run.seq + k, segment[i])
+                     for k, i in enumerate(order)]
+        assert next(records, None) is None
+        return rows
+
+    def assert_same(self, schema, body, capacity, segments=1):
+        bulk = self.outcome(LineIngestor.handle_post, schema, body, capacity, segments)
+        ref = self.outcome(per_line_handle_post, schema, body, capacity)
+        runs = bulk[2]
+        assert all(type(run) is Run and len(run.blobs) == segments for run in runs)
+        rows = expand(runs)
+        assert all(r.segment == route_record(r.device_id, segments) for r in rows)
+        assert rows == self.in_runs(ref[2], runs, segments)
+        assert bulk[:2] + bulk[3:] == ref[:2] + ref[3:]
+        return bulk
+
+    @given(data=st.data(), schema=st.sampled_from(_SCHEMAS), segments=st.sampled_from([1, 2, 3]))
     @settings(max_examples=300, deadline=None)
-    def test_equal_to_the_per_line_loop(self, data, schema):
+    def test_equal_to_the_per_line_loop(self, data, schema, segments):
         body = data.draw(bodies(schema))
         for capacity in range(len(body.splitlines()) + 1):
-            bulk = self.outcome(LineIngestor.handle_post, schema, body, capacity)
-            assert bulk == self.outcome(per_line_handle_post, schema, body, capacity)
+            self.assert_same(schema, body, capacity, segments)
 
-    def test_a_run_takes_one_extend_and_no_parse(self):
+    def test_a_run_takes_one_enqueue_and_no_parse(self):
         body = "".join(f"d{i},{i},{i}.5\n" for i in range(50))
-        bulk = self.outcome(LineIngestor.handle_post, SCHEMA, body, None)
+        bulk = self.assert_same(SCHEMA, body, None, 2)
         assert bulk[0] == IngestReport(50, 0, 0)
         assert bulk[4] == []  # no line needed parse_record
         ing = ingestor()
-        with mock.patch.object(ing.queue, "extend", wraps=ing.queue.extend) as extend:
+        with mock.patch.object(ing.queue, "enqueue", wraps=ing.queue.enqueue) as enqueue:
             ing.handle_post(body)
-        assert extend.call_count == 1
+        assert enqueue.call_count == 1
+
+    def test_a_matched_post_builds_no_record(self):
+        made = []
+        new = Record.__new__
+
+        def counting_new(cls, *args, **kw):
+            made.append(args)
+            return new(cls, *args, **kw)
+
+        body = "".join(f"d{i % 64},{1700000000 + i},{i}.5\n" for i in range(1000))
+        ing = LineIngestor(RowFifo(), SCHEMA, 2)
+        with mock.patch.object(Record, "__new__", counting_new), \
+                mock.patch.object(ingest_mod, "parse_record", side_effect=AssertionError):
+            assert ing.handle_post(body) == IngestReport(1000, 0, 0)
+            assert made == []
+            parse_record("d,1,2.5", SCHEMA)  # the count does see a Record built
+            assert len(made) == 1
+        assert not hasattr(ingest_mod, "Record")
+        (run,) = ing.queue.drain_up_to(1000)
+        assert run.rows == 1000 and all(type(blob) is bytes for blob in run.blobs)
 
     @pytest.mark.parametrize("line", [
         "d,1,1e3", "d,1,1.5e-3", "d,1," + "0" * 400 + "1", "d,1," + "9" * 308,
@@ -247,8 +331,8 @@ class TestBulkPathMatchesPerLine:
     ])
     def test_lines_outside_the_pattern_still_parse_once(self, line):
         # valid or not, a line the pattern leaves out gets parse_record
-        bulk = self.outcome(LineIngestor.handle_post, SCHEMA, f"d,1,2.5\n{line}\n", None)
-        assert bulk == self.outcome(per_line_handle_post, SCHEMA, f"d,1,2.5\n{line}\n", None)
+        for segments in (1, 2, 3):
+            self.assert_same(SCHEMA, f"d,1,2.5\n{line}\n", None, segments)
 
     def test_lines_without_a_newline_cost_their_own_length(self):
         # lines ended by "\r", "\r\n", "\x85" or "\u2028" all miss the
@@ -261,7 +345,7 @@ class TestBulkPathMatchesPerLine:
         report = ing.handle_post(body)
         elapsed = time.perf_counter() - start
         assert report == IngestReport(n, 0, 0)
-        assert [r.seq for r in ing.queue.drain_up_to(n)] == list(range(n))
+        assert [r.seq for r in queued_rows(ing.queue)] == list(range(n))
         assert elapsed < 5.0, elapsed
 
     def test_run_pattern_holds_no_line_break(self):

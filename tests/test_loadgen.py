@@ -14,14 +14,15 @@ import pytest
 
 from gateflow.ingest import Counters, IngestServer
 from gateflow.loadgen import LoadgenReport, run_loadgen, synthetic_lines
-from gateflow.pipeline import LockFreeQueue
+from gateflow.pipeline import RowFifo
 from gateflow.records import Schema, parse_record
 
 
 class BackgroundIngest:
     """Ingest listener on its own thread, optionally with a consumer
-    that drains the queue at a fixed pace (to force real retry loops
-    against a bounded queue)."""
+    that drains about ``drain_per_tick`` rows at a fixed pace (to force
+    real retry loops against a bounded queue); ``consumed`` counts the
+    rows it took."""
 
     def __init__(self, capacity=None, drain_per_tick=0, tick_s=0.005):
         self.capacity = capacity
@@ -38,7 +39,7 @@ class BackgroundIngest:
             asyncio.set_event_loop(self.loop)
 
             async def boot():
-                self.queue = LockFreeQueue(capacity=self.capacity)
+                self.queue = RowFifo(capacity=self.capacity)
                 srv = IngestServer(
                     self.queue, Schema.parse_spec("seq:int"), Counters()
                 )
@@ -60,7 +61,7 @@ class BackgroundIngest:
 
     async def _drain(self):
         while True:
-            self.consumed += len(self.queue.drain_up_to(self.drain_per_tick))
+            self.consumed += sum(run.rows for run in self.queue.drain_up_to(self.drain_per_tick))
             await asyncio.sleep(self.tick_s)
 
     def __exit__(self, *exc):

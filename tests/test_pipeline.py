@@ -1,9 +1,11 @@
-"""Queue unit tests, a model-based property suite, and the staged
+"""Queue unit tests, model-based property suites, and the staged
 reuse-hazard schedule that must fail its compare-and-swap.
 
-The contract tests run against both queues: ``LockFreeQueue``, the
-reproduced reference, and ``RowFifo``, the gateway's single-loop FIFO;
-each ``...RowFifo`` class reruns its parent's tests on the latter."""
+The contract tests run against ``LockFreeQueue``, the reproduced
+reference. Each ``...RowFifo`` class holds the same tests for
+``RowFifo``, the gateway's single-loop FIFO of runs, where a run
+stands for its rows: the capacity, ``approx_len`` and ``drain_up_to``
+count rows, and a run goes in and comes out whole."""
 
 import threading
 from collections import deque
@@ -12,7 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gateflow.pipeline import EnqueueResult, LockFreeQueue, RowFifo, VersionedRef
+from gateflow.pipeline import EnqueueResult, LockFreeQueue, RowFifo, Run, VersionedRef
+
+
+def run(tag, rows=1, seq=0):
+    """A one-segment run of ``rows`` rows, told apart by ``tag``."""
+    return Run(("".join(f"{tag},{i},{i}\n" for i in range(rows)).encode(),), rows, seq)
 
 
 def drain_all(q):
@@ -54,8 +61,36 @@ class TestBasics:
             self.queue_cls().enqueue(None)
 
 
-class TestBasicsRowFifo(TestBasics):
-    queue_cls = RowFifo
+class TestBasicsRowFifo:
+    def test_fifo_four_chars(self):
+        q = RowFifo()
+        runs = [run(ch, rows) for rows, ch in enumerate("MATR", start=1)]
+        for r in runs:
+            assert q.enqueue(r) is EnqueueResult.ACCEPTED
+        assert q.approx_len() == 10
+        assert drain_all(q) == runs
+
+    def test_dequeue_empty(self):
+        assert RowFifo().dequeue() is None
+
+    def test_round_trip(self):
+        q = RowFifo()
+        q.enqueue(run("x", 3))
+        assert q.dequeue() == run("x", 3)
+        assert q.dequeue() is None
+        assert q.approx_len() == 0
+
+    def test_single_producer_order(self):
+        q = RowFifo()
+        runs = [run(f"d{i}", 1 + i % 4, i) for i in range(1, 1001)]
+        for r in runs:
+            q.enqueue(r)
+        assert q.approx_len() == sum(r.rows for r in runs)
+        assert drain_all(q) == runs
+
+    def test_none_rejected(self):
+        with pytest.raises(ValueError):
+            RowFifo().enqueue(None)
 
 
 class TestCapacity:
@@ -87,8 +122,43 @@ class TestCapacity:
         assert drain_all(q) == [0, 1]
 
 
-class TestCapacityRowFifo(TestCapacity):
-    queue_cls = RowFifo
+class TestCapacityRowFifo:
+    def test_zero_capacity_backpressures(self):
+        q = RowFifo(capacity=0)
+        assert q.room() == 0
+        assert q.enqueue(run("a")) is EnqueueResult.BACKPRESSURE
+        assert q.approx_len() == 0
+
+    def test_negative_capacity_rejected(self):
+        with pytest.raises(ValueError):
+            RowFifo(capacity=-1)
+
+    def test_backpressure_at_capacity(self):
+        # the capacity counts rows, and a run goes in whole or not at all
+        q = RowFifo(capacity=5)
+        assert q.enqueue(run("a", 2)) is EnqueueResult.ACCEPTED
+        assert q.enqueue(run("b", 2)) is EnqueueResult.ACCEPTED
+        assert q.enqueue(run("c", 2)) is EnqueueResult.BACKPRESSURE
+        assert q.enqueue(run("d", 1)) is EnqueueResult.ACCEPTED
+        assert q.enqueue(run("e", 1)) is EnqueueResult.BACKPRESSURE
+        # a dequeue frees the rows of the run it takes
+        assert q.dequeue() == run("a", 2)
+        assert q.enqueue(run("f", 3)) is EnqueueResult.BACKPRESSURE
+        assert q.enqueue(run("f", 2)) is EnqueueResult.ACCEPTED
+        assert q.enqueue(run("g", 1)) is EnqueueResult.BACKPRESSURE
+        assert drain_all(q) == [run("b", 2), run("d", 1), run("f", 2)]
+
+    def test_room_counts_free_rows(self):
+        # what a producer cuts its run to
+        q = RowFifo(capacity=5)
+        assert q.room() == 5
+        q.enqueue(run("a", 3))
+        assert q.room() == 2
+        q.requeue([run("b", 4)])  # past the capacity: no room, not less
+        assert q.room() == 0 and q.approx_len() == 7
+        q.drain_up_to(4)
+        assert q.room() == 2
+        assert RowFifo().room() > 1 << 40
 
 
 class TestDrain:
@@ -109,8 +179,31 @@ class TestDrain:
         assert self.queue_cls().drain_up_to(5) == []
 
 
-class TestDrainRowFifo(TestDrain):
-    queue_cls = RowFifo
+class TestDrainRowFifo:
+    def test_underfull(self):
+        q = RowFifo()
+        runs = [run("a", 1), run("b", 2), run("c", 3)]
+        for r in runs:
+            q.enqueue(r)
+        assert q.drain_up_to(10) == runs
+        assert q.approx_len() == 0
+
+    def test_partial_preserves_rest(self):
+        # whole runs until the rows taken reach the bound: the last one
+        # may pass it
+        q = RowFifo()
+        runs = [run(f"d{i}", i) for i in range(1, 5)]
+        for r in runs:
+            q.enqueue(r)
+        assert q.drain_up_to(2) == runs[:2]
+        assert q.approx_len() == 7
+        assert q.drain_up_to(3) == runs[2:3]
+        assert q.drain_up_to(0) == []
+        assert q.approx_len() == 4
+        assert drain_all(q) == runs[3:]
+
+    def test_empty(self):
+        assert RowFifo().drain_up_to(5) == []
 
 
 class TestApproxLen:
@@ -136,8 +229,26 @@ class TestApproxLen:
         assert q.approx_len() == 4
 
 
-class TestApproxLenRowFifo(TestApproxLen):
-    queue_cls = RowFifo
+class TestApproxLenRowFifo:
+    def test_fresh(self):
+        assert RowFifo().approx_len() == 0
+
+    def test_quiescent_counts(self):
+        q = RowFifo()
+        for i in range(5):
+            q.enqueue(run(f"d{i}", i + 1))
+        assert q.approx_len() == 15
+        q.dequeue()
+        q.dequeue()
+        assert q.approx_len() == 12
+
+    def test_bounded_variant(self):
+        q = RowFifo(capacity=8)
+        for i in range(5):
+            q.enqueue(run(f"d{i}", 1 + i % 2))
+        assert q.approx_len() == 7
+        q.dequeue()
+        assert q.approx_len() == 6
 
 
 # the queue against a deque oracle under arbitrary op sequences
@@ -152,13 +263,9 @@ _ops = st.lists(
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    ops=_ops,
-    capacity=st.one_of(st.none(), st.integers(0, 6)),
-    queue_cls=st.sampled_from([LockFreeQueue, RowFifo]),
-)
-def test_matches_deque_model(ops, capacity, queue_cls):
-    q = queue_cls(capacity=capacity)
+@given(ops=_ops, capacity=st.one_of(st.none(), st.integers(0, 6)))
+def test_matches_deque_model(ops, capacity):
+    q = LockFreeQueue(capacity=capacity)
     model = deque()
     for op, arg in ops:
         if op == "enq":
@@ -178,50 +285,94 @@ def test_matches_deque_model(ops, capacity, queue_cls):
     assert drain_all(q) == list(model)
 
 
+# RowFifo against a deque of runs: "enq" and "requeue" carry a row count
+_run_ops = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["enq", "requeue"]), st.integers(1, 4)),
+        st.tuples(st.just("deq"), st.just(0)),
+        st.tuples(st.just("drain"), st.integers(0, 6)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_run_ops, capacity=st.one_of(st.none(), st.integers(0, 8)))
+def test_row_fifo_matches_run_model(ops, capacity):
+    q = RowFifo(capacity=capacity)
+    model = deque()
+    for k, (op, arg) in enumerate(ops):
+        rows = sum(r.rows for r in model)
+        if op == "enq":
+            item = run(f"d{k}", arg, k)
+            got = q.enqueue(item)
+            if capacity is not None and rows + arg > capacity:
+                assert got is EnqueueResult.BACKPRESSURE
+            else:
+                assert got is EnqueueResult.ACCEPTED
+                model.append(item)
+        elif op == "requeue":
+            item = run(f"d{k}", arg, -1)
+            q.requeue([item])
+            model.appendleft(item)
+        elif op == "deq":
+            assert q.dequeue() == (model.popleft() if model else None)
+        else:
+            expected = []
+            while model and sum(r.rows for r in expected) < arg:
+                expected.append(model.popleft())
+            assert q.drain_up_to(arg) == expected
+        rows = sum(r.rows for r in model)
+        assert q.approx_len() == rows
+        if capacity is not None:
+            assert q.room() == max(0, capacity - rows)
+    assert drain_all(q) == list(model)
+
+
 def test_requeue_goes_to_the_head_past_capacity():
-    q = RowFifo(capacity=2)
-    q.extend(["c", "d"])
-    q.requeue(["a", "b"])
-    assert q.approx_len() == 4
-    assert q.enqueue("e") is EnqueueResult.BACKPRESSURE
-    assert drain_all(q) == ["a", "b", "c", "d"]
+    q = RowFifo(capacity=3)
+    q.enqueue(run("c", 2))
+    q.requeue([run("a", 1), run("b", 2)])
+    assert q.approx_len() == 5
+    assert q.enqueue(run("e")) is EnqueueResult.BACKPRESSURE
+    assert drain_all(q) == [run("a", 1), run("b", 2), run("c", 2)]
 
 
 class TestRowFifoWaiter:
     """The queue's waiter is its ``on_fill`` callback, which the gateway
-    points at the sender's wake: it hears the first item of each
+    points at the sender's wake: it hears the first run of each
     non-empty stretch, and not the rest of the stretch."""
 
     @pytest.mark.parametrize(
-        "fill",
+        "fill, rows",
         [
-            pytest.param(lambda q: q.enqueue("r"), id="enqueue"),
-            pytest.param(lambda q: q.extend(["r", "s"]), id="extend"),
-            pytest.param(lambda q: q.requeue(["r"]), id="requeue"),
+            pytest.param(lambda q: q.enqueue(run("r")), 1, id="enqueue"),
+            pytest.param(lambda q: q.enqueue(run("r", 3)), 3, id="run"),
+            pytest.param(lambda q: q.requeue([run("r"), run("s", 2)]), 3, id="requeue"),
         ],
     )
-    def test_each_way_in_wakes_a_pending_wait(self, fill):
+    def test_each_way_in_wakes_a_pending_wait(self, fill, rows):
         fills = []
         q = RowFifo(capacity=8, on_fill=lambda: fills.append(q.approx_len()))
         fill(q)
-        assert fills == [1]  # at the first item, not again for the rest
+        assert fills == [rows]  # once, however many runs and rows went in
         fill(q)  # the queue is not empty: no call
-        assert fills == [1]
-        assert q.approx_len() > 1
+        assert fills == [rows]
+        assert q.approx_len() > rows
 
     def test_on_fill_hears_each_end_of_an_empty_stretch(self):
         fills = []
         q = RowFifo(capacity=4, on_fill=lambda: fills.append(q.approx_len()))
-        q.extend(["a", "b"])  # called at the first row only
-        q.requeue(["c"])  # the queue was not empty
-        assert fills == [1]
+        q.enqueue(run("a", 2))
+        q.requeue([run("c")])  # the queue was not empty
+        assert fills == [2]
         q.drain_up_to(10)
         q.requeue([])  # nothing put back
-        q.requeue(["d", "e"])
-        assert fills == [1, 2]
+        q.requeue([run("d"), run("e")])
+        assert fills == [2, 2]
         q.drain_up_to(10)
-        q.enqueue("f")
-        assert fills == [1, 2, 1]
+        q.enqueue(run("f"))
+        assert fills == [2, 2, 1]
 
 
 class TestReuseHazard:

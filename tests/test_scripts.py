@@ -33,6 +33,17 @@ def test_idle_cpu_reports_cpu_and_commit_rate():
     assert float(values["commits_per_s"]) >= 0
 
 
+def test_row_work_reports_each_side_per_row():
+    stdout = run_script("row_work.py", "--rows", "3000", "--repeats", "2")
+    head, *sides = stdout.splitlines()
+    assert head.startswith("rows=3000 segments=2 repeats=2 pinned=")
+    assert [line.split()[0] for line in sides] == [
+        "ingest_us_per_row", "send_us_per_row", "total_us_per_row"]
+    for line in sides:
+        values = dict(field.split("=") for field in line.split()[1:])
+        assert 0 < float(values["min"]) <= float(values["median"]) <= float(values["max"])
+
+
 @pytest.mark.parametrize(
     "name, args, expect",
     [
