@@ -93,8 +93,11 @@ class GatewayConfig:
             raise ValueError("queue_capacity must be non-negative")
         if self.listeners < 1:
             raise ValueError("listeners must be >= 1")
-        if ":" not in self.listen_addr:
+        _, colon, port = self.listen_addr.rpartition(":")
+        if not colon:
             raise ValueError("listen_addr must be host:port")
+        if not (port.isascii() and port.isdigit() and int(port) < 65536):
+            raise ValueError(f"listen_addr port must be a number in 0-65535, got {port!r}")
         seen_addr: set[tuple[str, int]] = set()
         seen_id: set[str] = set()
         for seg in self.segments:

@@ -36,7 +36,7 @@ from operator import itemgetter, mod
 from zlib import crc32
 
 from .metrics import Counters
-from .pipeline import EnqueueResult, RowFifo, Run
+from .pipeline import RowFifo, Run
 from .records import LINE_BREAK, IngestError, Schema, parse_record
 
 MAX_BODY_BYTES = 8 * 1024 * 1024
@@ -83,12 +83,12 @@ class LineIngestor:
     def handle_post(self, body: str) -> IngestReport:
         """Validate a body and queue its accepted rows, in body order,
         until the queue refuses one. A run of lines the schema's
-        pattern matches is cut to the queue's room and goes in as one
-        ``Run``; every other line goes alone through ``parse_record``
-        and in as a one-row run. The outcome is the one handling each
-        line in turn gives: rejected lines before the first refused row
-        are logged with their line numbers, and that row's line and
-        every line after it are backpressured."""
+        pattern matches goes in as one ``Run``, and every other line
+        goes alone through ``parse_record`` and in as a one-row run;
+        either is cut to the queue's room. The outcome is the one
+        handling each line in turn gives: rejected lines before the
+        first refused row are logged with their line numbers, and that
+        row's line and every line after it are backpressured."""
         accepted = rejected = backpressured = 0
         schema = self.schema
         run_end = schema.run_end
@@ -103,42 +103,37 @@ class LineIngestor:
             if end > pos:
                 raw = body[pos:end].encode()
                 n = raw.count(b"\n")
-                taken = min(n, queue.room())
-                if taken:
-                    if taken < n:  # the lines that fit, with their "\n"
-                        raw = raw[:len(raw) - len(raw.split(b"\n", taken)[-1])]
-                    queue.enqueue(Run(self.blobs(raw), taken, seq))
-                    seq += taken
-                    accepted += taken
-                if taken < n:
-                    # stop at the first full-queue signal so the
-                    # backpressured lines are exactly the tail of the
-                    # body and the producer can re-post them without
-                    # duplicates
-                    backpressured = n - taken + len(body[end:].splitlines())
-                    break
-                line_number += n
-                pos = end
-                continue
-            # one line outside the pattern, found in its own length
-            brk = LINE_BREAK.search(body, pos)
-            line_end, next_pos = brk.span() if brk else (size, size)
-            line_number += 1
-            parsed = parse_record(
-                body[pos:line_end], schema, seq=seq, line_number=line_number, now_us=now_us
-            )
-            if isinstance(parsed, IngestError):
-                self.error_log.append(parsed)
-                rejected += 1
-            elif queue.enqueue(
-                Run(self.blobs(f"{parsed.line}\n".encode()), 1, seq)
-            ) is EnqueueResult.ACCEPTED:
-                seq += 1
-                accepted += 1
             else:
-                backpressured = len(body[pos:].splitlines())
+                # one line outside the pattern, found in its own length
+                brk = LINE_BREAK.search(body, pos)
+                line_end, end = brk.span() if brk else (size, size)
+                parsed = parse_record(
+                    body[pos:line_end], schema, seq=seq, line_number=line_number + 1, now_us=now_us
+                )
+                if isinstance(parsed, IngestError):
+                    self.error_log.append(parsed)
+                    rejected += 1
+                    line_number += 1
+                    pos = end
+                    continue
+                raw = f"{parsed.line}\n".encode()
+                n = 1
+            taken = min(n, queue.room())
+            if taken:
+                if taken < n:  # the lines that fit, with their "\n"
+                    raw = raw[:len(raw) - len(raw.split(b"\n", taken)[-1])]
+                queue.enqueue(Run(self.blobs(raw), taken, seq))
+                seq += taken
+                accepted += taken
+            if taken < n:
+                # stop at the first full-queue signal so the
+                # backpressured lines are exactly the tail of the
+                # body and the producer can re-post them without
+                # duplicates
+                backpressured = n - taken + len(body[end:].splitlines())
                 break
-            pos = next_pos
+            line_number += n
+            pos = end
         self.next_seq = seq
         return IngestReport(accepted, rejected, backpressured)
 

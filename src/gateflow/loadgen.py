@@ -17,6 +17,7 @@ import http.client
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 RETRY_BUDGET = 200  # re-posts of one batch's backpressured tail
 RETRY_DELAY_S = 0.01
@@ -75,8 +76,10 @@ class LoadGenerator:
     def _post(self, body: str) -> dict | None:
         try:
             conn = self._connection()
+            # the gateway reads bodies as UTF-8; http.client would
+            # encode a str body as Latin-1
             conn.request(
-                "POST", "/ingest", body, {"Content-Type": "text/plain"}
+                "POST", "/ingest", body.encode(), {"Content-Type": "text/plain"}
             )
             resp = conn.getresponse()
             payload = resp.read()
@@ -117,7 +120,10 @@ class LoadGenerator:
         start = time.monotonic()
         batch: list[str] = []
         sent = 0
-        for line in lines_iter:
+        # the gateway counts lines as str.splitlines does, so a line
+        # with another break in it goes out as the lines the gateway
+        # sees: a backpressured tail then names lines of this batch
+        for line in chain.from_iterable(map(str.splitlines, lines_iter)):
             batch.append(line)
             if len(batch) >= self.batch_lines:
                 self._post_batch(batch)

@@ -21,13 +21,15 @@ instead and converges to the same number:
 
 Abort checks run first within a tick, then dispatch, then growth, so
 the decisions a tick emits are a pure function of (state, now, data
-pending). ``tick`` records its own abort decisions in the state: an
-immediate abort retires the slot, a deferred one marks it, and the
-mark is resolved when the slot reports its send end or commit ack.
-Both the live engine and the simulator call this exact code, and both
-move their slots only through the state's transition-checked reports.
-``next_deadline`` gives the instant a timed rule can next fire, so an
-engine can tick on reports and deadlines instead of on a fixed grid.
+pending). ``tick`` records each abort in the state as it decides it:
+an immediate abort retires the slot on the spot, a deferred one marks
+it, and the mark is resolved when the slot reports its send end or
+commit ack. Both the live engine and the simulator call this exact
+code, and both move their slots only through the state's
+transition-checked reports. ``next_deadline`` gives the instant a
+timed rule can next fire, from the same per-rule helpers ``tick`` acts
+on, so an engine can tick on reports and deadlines instead of on a
+fixed grid.
 """
 
 from __future__ import annotations
@@ -256,15 +258,52 @@ class SchedulerState:
         return len(self.slots)
 
 
+def _idle_trim(state: SchedulerState) -> tuple[Slot, int] | None:
+    """Rule 5's candidate and the instant it is due: the unmarked
+    waiter that has waited longest, once its wait passes t_d, while
+    more than one slot lives (rule 7 guards the last). The wait must
+    pass t_d strictly: during growth a fresh slot's first wait can
+    touch exactly t_d, and trimming at the boundary would undo the
+    growth and oscillate instead of converging."""
+    waiting = [
+        info
+        for info in state.slots.values()
+        if info.phase is SlotPhase.WAIT
+        and not info.marked_for_abort
+        and info.wait_entered_at is not None
+    ]
+    if len(state.slots) <= 1 or not waiting:
+        return None
+    victim = min(waiting, key=lambda info: (info.wait_entered_at, info.slot_id))
+    return victim, victim.wait_entered_at + state.params.t_d_us + 1
+
+
+def _growth_at(state: SchedulerState, pipeline_nonempty: bool, last: Slot | None) -> int | None:
+    """The instant from which the pool may grow, or None while it may
+    not: rule 2 wants data waiting and no slot sending, rule 4 wants
+    ``last`` (the last activated slot, if it lives) to have sent, the
+    pool stays within ``max_slots``, and rule 3 spaces growths an
+    interval apart."""
+    params = state.params
+    if (
+        not pipeline_nonempty
+        or state.current_sender is not None
+        or len(state.slots) >= params.max_slots
+        or (last is not None and not last.entered_send_once)
+    ):
+        return None
+    if state.last_activation_at is None:  # no activation to space from
+        return state.cycle_started_at
+    return state.last_activation_at + params.t_d_us
+
+
 def tick(state: SchedulerState, now: int, pipeline_nonempty: bool) -> list[Action]:
     """One scheduling decision round. Emits the abort, dispatch and
     activation actions the policy set mandates for this instant, and
-    records the aborts in ``state`` before returning: an immediate
-    abort is already retired there and a deferred one is marked, so an
-    engine only tears down its side of an aborted slot."""
+    records each abort in ``state`` as it decides it: an immediate
+    abort retires the slot on the spot and a deferred one marks it, so
+    an engine only tears down its side of an aborted slot."""
     params = state.params
-    actions: list[Action] = []
-
     if not state.ticked_once:
         state.ticked_once = True
         state.cycle_started_at = now
@@ -272,8 +311,11 @@ def tick(state: SchedulerState, now: int, pipeline_nonempty: bool) -> list[Actio
             # rule 1: a fresh pool starts with a single slot
             return [ActivateSlot()]
 
-    retiring: set[int] = set()  # immediate aborts emitted this tick
+    actions: list[Action] = []
     live = state.slots
+    # rule 4 reads the last activated slot as the tick found it: one
+    # that this tick trims before it ever sent still blocks growth
+    last = live.get(state.last_activated_slot)
 
     # rule 6 at dispatch-cycle boundaries: trim slots that moved no
     # rows across the whole finished cycle
@@ -286,79 +328,43 @@ def tick(state: SchedulerState, now: int, pipeline_nonempty: bool) -> list[Actio
             and info.sent_rows_this_cycle == 0
             and not info.marked_for_abort
         ]
-        idle.sort(key=lambda info: info.slot_id)
-        for info in idle:
-            remaining = len(live) - len(retiring)
+        for info in sorted(idle, key=lambda info: info.slot_id):
             sending = info.phase is SlotPhase.SEND or state.current_sender == info.slot_id
-            if remaining <= 1 or sending or info.phase is SlotPhase.COMMIT:
+            if len(live) <= 1 or sending or info.phase is SlotPhase.COMMIT:
                 # rule 7: the last slot (and any in-flight send or
                 # commit) finishes its current send before retiring
+                info.marked_for_abort = True
                 actions.append(AbortSlot(info.slot_id, ABORT_NO_DATA_CYCLE, deferred=True))
             else:
+                state._retire(info.slot_id, now)
                 actions.append(AbortSlot(info.slot_id, ABORT_NO_DATA_CYCLE))
-                retiring.add(info.slot_id)
         state.cycle_started_at += (elapsed // params.dispatch_cycle_us) * params.dispatch_cycle_us
         for info in live.values():
             info.sent_rows_this_cycle = 0
 
-    # rule 5: trim one slot stuck in Wait for strictly more than an
-    # interval. The strictness matters: during growth a fresh slot's
-    # first wait can touch exactly t_d, and trimming at the boundary
-    # would undo the growth and oscillate instead of converging.
-    overdue = [
-        info
-        for info in live.values()
-        if info.phase is SlotPhase.WAIT
-        and info.slot_id not in retiring
-        and not info.marked_for_abort
-        and info.wait_entered_at is not None
-        and now - info.wait_entered_at > params.t_d_us
-    ]
-    if overdue and len(live) - len(retiring) > 1:  # rule 7 guards the last slot
-        victim = min(overdue, key=lambda info: (info.wait_entered_at, info.slot_id))
-        actions.append(AbortSlot(victim.slot_id, ABORT_IDLE_WAIT))
-        retiring.add(victim.slot_id)
+    # rule 5: trim one slot stuck in Wait for more than an interval
+    trim = _idle_trim(state)
+    if trim is not None and now >= trim[1]:
+        victim = trim[0].slot_id
+        state._retire(victim, now)
+        actions.append(AbortSlot(victim, ABORT_IDLE_WAIT))
 
     # dispatch: hand the send window to the longest-waiting slot
-    sender_live = (
-        state.current_sender is not None and state.current_sender not in retiring
-    )
-    if not sender_live:
+    if state.current_sender is None:
         waiting = [
             (info.slot_id, info.wait_entered_at)
             for info in live.values()
-            if info.phase is SlotPhase.WAIT
-            and info.slot_id not in retiring
-            and info.wait_entered_at is not None
+            if info.phase is SlotPhase.WAIT and info.wait_entered_at is not None
         ]
         if waiting:
             actions.append(DispatchSender(select_sender(waiting)))
-            sender_live = True
+            return actions
 
-    # rule 2 guarded by rules 3 and 4, evaluated after dispatch so a
-    # freed waiter takes the window before the pool grows
-    if pipeline_nonempty and not sender_live:
-        if len(live) - len(retiring) < params.max_slots:
-            p3_ok = (
-                state.last_activation_at is None
-                or now - state.last_activation_at >= params.t_d_us
-            )
-            last = (
-                live.get(state.last_activated_slot)
-                if state.last_activated_slot is not None
-                else None
-            )
-            p4_ok = last is None or last.entered_send_once
-            if p3_ok and p4_ok:
-                actions.append(ActivateSlot())
-
-    # every decision above saw the pool as it was when the tick began
-    for action in actions:
-        if isinstance(action, AbortSlot):
-            if action.deferred:
-                live[action.slot_id].marked_for_abort = True
-            else:
-                state._retire(action.slot_id, now)
+    # rules 2-4, after dispatch so a freed waiter takes the window
+    # before the pool grows
+    grow_at = _growth_at(state, pipeline_nonempty, last)
+    if grow_at is not None and now >= grow_at:
+        actions.append(ActivateSlot())
     return actions
 
 
@@ -371,39 +377,23 @@ def next_deadline(state: SchedulerState, now: int, pipeline_nonempty: bool) -> i
     ticks would make. Call it after a tick and the reports its actions
     lead to, with that tick's ``now`` and data flag.
 
-      rule 6: the next dispatch-cycle boundary, while any slot lives
-              (a boundary also restarts the slots' row counts)
-      rule 5: the oldest unmarked waiter's wait passing t_d, while more
-              than one slot lives
-      rule 3: the growth spacing running out, while data waits, no slot
-              sends, and rule 4 and ``max_slots`` let the pool grow
+      rule 6:    the next dispatch-cycle boundary, while any slot lives
+                 (a boundary also restarts the slots' row counts)
+      rule 5:    the instant ``_idle_trim`` gives
+      rules 2-4: the instant ``_growth_at`` gives
     """
     if not state.ticked_once:
         return None  # the engine's first tick is not a timed one
-    params = state.params
     live = state.slots
     due: list[int] = []
     if live:
-        due.append(state.cycle_started_at + params.dispatch_cycle_us)
-    if len(live) > 1:
-        waits = [
-            info.wait_entered_at
-            for info in live.values()
-            if info.phase is SlotPhase.WAIT
-            and not info.marked_for_abort
-            and info.wait_entered_at is not None
-        ]
-        if waits:
-            due.append(min(waits) + params.t_d_us + 1)
-    if (
-        pipeline_nonempty
-        and state.current_sender is None
-        and state.last_activation_at is not None
-        and len(live) < params.max_slots
-    ):
-        last = live.get(state.last_activated_slot)
-        if last is None or last.entered_send_once:
-            due.append(state.last_activation_at + params.t_d_us)
+        due.append(state.cycle_started_at + state.params.dispatch_cycle_us)
+    trim = _idle_trim(state)
+    if trim is not None:
+        due.append(trim[1])
+    grow_at = _growth_at(state, pipeline_nonempty, live.get(state.last_activated_slot))
+    if grow_at is not None:
+        due.append(grow_at)
     if not due:
         return None
     # a rule already due fires at the next tick: never hand back the past

@@ -139,6 +139,16 @@ class TestConfigTypos:
         assert err.startswith("error: ") and key in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("listen", ["127.0.0.1:99999", "127.0.0.1:http"])
+    def test_bad_listen_port_is_usage_error(self, tmp_path, capsys, listen):
+        path = tmp_path / "listen.yaml"
+        path.write_text(yaml.safe_dump({"listen_addr": listen, "segments": [{"id": "s0"}]}))
+        assert main(["serve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "listen_addr" in err
+        assert err.count("error:") == 1 and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestSimulateAndGantt:
     SCENARIO = {

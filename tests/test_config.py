@@ -145,6 +145,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="listen_addr"):
             GatewayConfig(segments=(seg(1),), listen_addr="localhost")
 
+    @pytest.mark.parametrize("port", ["99999", "65536", "http", "", "-1", "80 ", "\u0668"])
+    def test_listen_addr_port_is_a_number_in_range(self, port):
+        with pytest.raises(ValueError, match="listen_addr"):
+            GatewayConfig(segments=(seg(1),), listen_addr=f"127.0.0.1:{port}")
+
+    def test_listen_addr_port_bounds_are_valid(self):
+        for port in (0, 65535):
+            cfg = GatewayConfig(segments=(seg(1),), listen_addr=f"127.0.0.1:{port}")
+            assert cfg.listen_host_port() == ("127.0.0.1", port)
+
     def test_negative_queue_capacity(self):
         with pytest.raises(ValueError, match="queue_capacity"):
             GatewayConfig(segments=(seg(1),), queue_capacity=-1)

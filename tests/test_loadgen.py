@@ -174,6 +174,35 @@ class TestAgainstLiveListener:
         assert report.accepted == 10
         assert report.rejected == 1
 
+    def test_file_replay_retries_lines_the_gateway_splits(self, tmp_path):
+        # a text-mode file keeps these breaks inside a line, while the
+        # gateway, like str.splitlines, ends a line at each of them: a
+        # backpressured tail must still name the lines left to re-post
+        breaks = ["\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+        lines = [f"dev{i},100{i},{i}{brk}dev{i},200{i},{i}" for i, brk in enumerate(breaks)]
+        lines.insert(3, "dev9,bad-timestamp,5")
+        text = "\n".join(lines) + "\n"
+        path = tmp_path / "rows.csv"
+        path.write_text(text, encoding="utf-8")
+        gateway_lines = len(text.splitlines())
+        assert gateway_lines == 2 * len(breaks) + 1
+        with BackgroundIngest(capacity=3, drain_per_tick=2) as srv:
+            report = run_loadgen("127.0.0.1", srv.port, file=str(path))
+        assert report.retried > 0
+        assert report.accepted + report.rejected + report.unresolved == gateway_lines
+        assert report.unresolved == 0
+        assert report.rejected == 1
+        assert report.posted == gateway_lines
+
+    def test_file_replay_posts_utf_8(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("d\u00e9v\u20ac,1001,1\n", encoding="utf-8")
+        with BackgroundIngest() as srv:
+            report = run_loadgen("127.0.0.1", srv.port, file=str(path))
+            runs = srv.queue.drain_up_to(10)
+        assert report.accepted == 1
+        assert [run.blobs for run in runs] == [("d\u00e9v\u20ac,1001,1\n".encode(),)]
+
     def test_dead_port_yields_transport_errors_not_a_crash(self):
         import socket
 

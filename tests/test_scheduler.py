@@ -207,6 +207,26 @@ class TestGrowth:
         acts = tick(st_, 300 * MS, True)
         assert ActivateSlot() in acts
 
+    @pytest.mark.parametrize("reason", [ABORT_IDLE_WAIT, ABORT_NO_DATA_CYCLE])
+    def test_the_tick_that_trims_the_unsent_last_slot_does_not_grow(self, reason):
+        # rule 4 reads the last activated slot as the tick found it:
+        # trimming it before it ever sent leaves growth blocked for the
+        # rest of that tick, though rows wait and no slot sends
+        st_ = mk_state(cycle_ms=1000)
+        st_.ticked_once = True
+        a = st_.note_activated(0)
+        st_.note_ready(a, 0)
+        st_.note_dispatched(a, 0)
+        b = st_.note_activated(0)
+        if reason == ABORT_IDLE_WAIT:
+            st_.note_ready(b, 60 * MS)
+            now = 160 * MS + 1  # b's wait passes t_d
+        else:
+            now = 1000 * MS  # b, still connecting, moved no rows all cycle
+        st_.note_send_ended(a, 5, now)
+        assert tick(st_, now, True) == [AbortSlot(b, reason)]
+        assert tick(st_, now, True) == [ActivateSlot()]
+
     def test_max_slots_cap(self):
         st_ = mk_state(max_slots=2)
         st_.ticked_once = True
