@@ -5,12 +5,14 @@ Builds seeded bodies shaped like the ``ceiling`` workload's (posts of
 1000 ``seq:int`` lines over 64 devices, 1% malformed, one of each
 rejection kind in turn) and feeds them, post by post, through the code
 the gateway runs: the ingest side decodes the body and calls
-``LineIngestor.handle_post`` into a ``RowFifo``; the send side drains
-that queue with ``drain_up_to`` and hands the runs to ``write_runs``,
-as the send window does, with links whose writers keep nothing. The
-two sides alternate after every post, as they do on the live loop, and
-each is timed on its own. No socket, HTTP framing or segment is
-involved.
+``LineIngestor.handle_post`` into a ``RowFifo``, which validates and
+queues the rows in body order; the send side drains that queue with
+``drain_up_to`` and hands the runs to ``write_runs``, as the send
+window does, with links whose writers keep nothing. Routing rows to
+their segments happens there, once per drain, so it shows on the send
+side. The two sides alternate after every post, as they do on the live
+loop, and each is timed on its own. No socket, HTTP framing or segment
+is involved.
 
 The whole feed is repeated ``--repeats`` times with fresh objects, and
 the script prints microseconds per row for each side and their sum:
@@ -29,7 +31,7 @@ import statistics
 import sys
 import time
 
-from gateflow.gateway import MAX_BATCH_ROWS, _SegmentLink, write_runs
+from gateflow.gateway import MAX_BATCH_ROWS, Router, _SegmentLink, write_runs
 from gateflow.ingest import LineIngestor
 from gateflow.pipeline import RowFifo
 from gateflow.records import Schema
@@ -71,14 +73,15 @@ def build_bodies(rows: int, seed: int) -> list[bytes]:
 class NullWriter:
     """Takes what the send window writes and keeps nothing."""
 
-    def writelines(self, blobs) -> None:
+    def write(self, blob) -> None:
         pass
 
 
 def one_pass(bodies: list[bytes], segments: int) -> tuple[int, int, int]:
     """(rows posted, ingest ns, send ns) for one feed of every body."""
     queue = RowFifo(capacity=QUEUE_CAPACITY)
-    ingestor = LineIngestor(queue, Schema.parse_spec(SCHEMA), segments)
+    ingestor = LineIngestor(queue, Schema.parse_spec(SCHEMA))
+    router = Router(segments)
     links = [_SegmentLink(f"seg{i}", None, NullWriter()) for i in range(segments)]
     clock = time.perf_counter_ns
     rows = ingest_ns = send_ns = written = 0
@@ -86,9 +89,11 @@ def one_pass(bodies: list[bytes], segments: int) -> tuple[int, int, int]:
         t0 = clock()
         report = ingestor.handle_post(body.decode("utf-8", errors="replace"))
         t1 = clock()
-        written += write_runs(links, queue.drain_up_to(MAX_BATCH_ROWS))
+        write_runs(links, queue.drain_up_to(MAX_BATCH_ROWS), router)
         t2 = clock()
         for link in links:
+            # the rows the links were given, every segment's together
+            written += sum(blob.count(b"\n") for blob in link.sent)
             link.sent = []  # what a commit does with them
         ingest_ns += t1 - t0
         send_ns += t2 - t1

@@ -3,19 +3,21 @@ wired together on one asyncio event loop.
 
 Each slot is owned by a single task cycling connect -> wait -> send ->
 commit against a persistent connection per segment. The send window
-takes whole runs from the queue and writes each run's blob for a
-segment to that segment as it is: the ingest listener has already
-routed and encoded every row, exactly as the producer posted it. A
+takes whole runs from the queue, joins their rows, which the ingest
+listener has encoded exactly as the producer posted them, and routes
+them once per drain: a ``Router`` splits them into one blob per
+segment, each row in the blob of the segment ``route_record`` names
+for its device, and each blob is written to its segment as it is. A
 batch is kept in memory, as the blobs already written to each segment,
 until every segment acknowledges its commit; a connection lost
 mid-send aborts the segment transaction (nothing became visible) and
-the retained blobs go back into the pipeline, so no row is silently
-lost and none is committed twice. A runner sleeps only in ``park``. The
-scheduler tick, a plain callback, wakes it to dispatch or abort it,
-and rows put into an empty queue wake the slot that sends. The tick
-runs at start, soon after each report a runner makes and each failure
-retirement, when the queue fills while no slot sends, and at the
-instant ``next_deadline`` names for the next timed rule; nothing else
+the retained blobs go back into the pipeline as plain runs, so no row
+is silently lost and none is committed twice. A runner sleeps only in
+``park``. The scheduler tick, a plain callback, wakes it to dispatch or
+abort it, and rows put into an empty queue wake the slot that sends.
+The tick runs at start, soon after each report a runner makes and
+each failure retirement, when the queue fills while no slot sends, and
+at the instant ``next_deadline`` names for the next timed rule; nothing else
 can change its decisions, so it has no polling period. A runner drives the
 ``Slot`` that the shared scheduler state holds but moves it only by
 reporting to the state, which is safe to share because everything
@@ -28,6 +30,8 @@ import asyncio
 import logging
 import uuid
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 
 from .config import GatewayConfig
 from .ingest import IngestServer, monotonic_us
@@ -42,10 +46,7 @@ from .scheduler import (
     next_deadline,
     tick,
 )
-from .slot import Initiator, Slot, SlotPhase, Transition, make_txn_id
-# not called here: the benchmark's tracer patches this name until it
-# moves to stable seams
-from .slot import route_record  # noqa: F401
+from .slot import Initiator, Slot, SlotPhase, Transition, make_txn_id, route_record
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +54,11 @@ TABLE_NAME = "ingest"
 # a soft bound: a window stops taking runs once its batch holds this
 # many rows, so a batch passes it by less than one run, at most one post
 MAX_BATCH_ROWS = 1_000_000
+# the router's device -> segment table is cleared once it holds this
+# many devices, so a stream of ever-new devices cannot grow it forever
+ROUTE_TABLE_LIMIT = 1 << 14
+
+_first = itemgetter(0)
 
 
 class SlotProtocolError(RuntimeError):
@@ -93,16 +99,61 @@ class _SegmentLink:
             raise ConnectionResetError(f"segment {self.segment}: link lost during send")
 
 
-def write_runs(links: list[_SegmentLink], runs: list[Run]) -> int:
-    """Write each run's blob for a segment to that segment's link, and
-    keep it there until the commit; returns the rows written. A link's
-    blobs go out in one call; an empty blob is neither written nor
-    kept."""
-    for link, blobs in zip(links, zip(*[run.blobs for run in runs])):
-        blobs = list(filter(None, blobs))
-        if blobs:
-            link.sent += blobs
-            link.writer.writelines(blobs)
+class Router:
+    """Splits "\\n"-ended rows into one blob per segment of
+    ``segments``, each row in the blob of the segment ``route_record``
+    names for its device (the text before its first comma). Devices
+    are looked up in a table that lives as long as the router; a
+    device missing from it is routed by ``route_record`` and learned,
+    and the table is cleared when it holds ``ROUTE_TABLE_LIMIT``."""
+
+    def __init__(self, segments: int) -> None:
+        self.segments = segments
+        self.table: dict[bytes, int] = {}
+
+    def segment(self, device: bytes) -> int:
+        """The segment of ``device``, from the table or learned into it."""
+        table = self.table
+        segment = table.get(device)
+        if segment is None:
+            if len(table) >= ROUTE_TABLE_LIMIT:
+                table.clear()
+            # rows are UTF-8 encoded text, so the device decodes back
+            segment = table[device] = route_record(device.decode(), self.segments)
+        return segment
+
+    def split(self, raw: bytes) -> list[bytes]:
+        """One blob per segment, in segment order (``b""`` where a
+        segment gets no row), each holding its rows of ``raw`` in
+        order; with one segment, ``raw`` itself."""
+        segments = self.segments
+        if segments == 1:
+            return [raw]
+        lines = raw.split(b"\n")
+        lines.pop()  # the empty tail after the last "\n"
+        devices = list(map(_first, map(bytes.partition, lines, repeat(b","))))
+        try:
+            routes = list(map(self.table.__getitem__, devices))
+        except KeyError:  # a device this router has not seen yet
+            routes = list(map(self.segment, devices))
+        buffers: list[list[bytes]] = [[] for _ in range(segments)]
+        appends = [buf.append for buf in buffers]
+        for line, segment in zip(lines, routes):
+            appends[segment](line)
+        for buf in buffers:
+            buf.append(b"")  # every row, the last too, ends in \n
+        return list(map(b"\n".join, buffers))
+
+
+def write_runs(links: list[_SegmentLink], runs: list[Run], router: Router) -> int:
+    """Join the rows of ``runs``, split them once with ``router`` and
+    write each segment's blob to that segment's link, keeping it there
+    until the commit; returns the rows written. An empty blob is
+    neither written nor kept."""
+    for link, blob in zip(links, router.split(b"".join([run.blob for run in runs]))):
+        if blob:
+            link.sent.append(blob)
+            link.writer.write(blob)
     return sum(run.rows for run in runs)
 
 
@@ -209,7 +260,7 @@ class SlotRunner:
                     link.check()
                 await self.park(deadline)
                 continue
-            self.batch += write_runs(links, runs)
+            self.batch += write_runs(links, runs, gw.router)
             for link in links:
                 await link.writer.drain()
         # the last park may have outlived a link: check once more
@@ -251,25 +302,21 @@ class SlotRunner:
 
     def _fail(self) -> None:
         """Connection or protocol failure. A segment only publishes on
-        EOF, so the blobs sent on links that never saw an EOF attempt go
-        back to the pipeline as they are, each a run for its one
-        segment; rows past an EOF attempt might already be committed
-        there, and re-sending them would duplicate, so they are only
-        counted as in doubt. A device's rows all go to one segment, so
-        each device keeps its order."""
+        EOF, so each blob sent on a link that never saw an EOF attempt
+        goes back to the pipeline as a plain run, which routing sends
+        to the same segment again; rows past an EOF attempt might
+        already be committed there, and re-sending them would
+        duplicate, so they are only counted as in doubt. A device's
+        rows all go to one segment, so each device keeps its order."""
         gw = self.gateway
         safe: list[Run] = []
         in_doubt = 0
-        empty = (b"",) * len(self.links)
-        for i, link in enumerate(self.links):
+        for link in self.links:
             # a row's line holds no newline, and every blob ends with one
             if link.eof_sent:
                 in_doubt += sum(blob.count(b"\n") for blob in link.sent)
             else:
-                safe.extend(
-                    Run(empty[:i] + (blob,) + empty[i + 1:], blob.count(b"\n"), -1)
-                    for blob in link.sent
-                )
+                safe.extend(Run(blob, blob.count(b"\n"), -1) for blob in link.sent)
             link.sent = []
         if safe:
             # ahead of rows accepted later, to keep each device's order
@@ -301,8 +348,8 @@ class Gateway:
         self.state = SchedulerState(params)
         self.nonce = uuid.uuid4().hex[:8]
         host, port = config.listen_host_port()
-        self.ingest = IngestServer(
-            self.queue, self.schema, self.counters, host, port, len(config.segments))
+        self.ingest = IngestServer(self.queue, self.schema, self.counters, host, port)
+        self.router = Router(len(config.segments))
         self.runners: dict[int, SlotRunner] = {}
         self.audit_slots: list[Slot] = []
         self._tick_soon: asyncio.Handle | None = None

@@ -17,11 +17,12 @@ A malformed line is counted, logged, and skipped; it never affects its
 neighbors. Accepted rows get a dense sequence number for audit; a
 backpressured line does not burn one.
 
-Rows are routed once, here: a post's accepted rows go to the queue as
-``Run``s, each already split into one encoded blob per segment, each
-row in the blob of the segment ``route_record`` names for its device.
-The send window writes those blobs as they are, so no row is parsed,
-routed or encoded again on its way to the wire.
+A post's accepted rows go to the queue as ``Run``s, each one encoded
+blob of "\\n"-ended rows in body order, and the response is written
+at once: routing is not done here. The sending slot routes what it
+drains, once per drain, so no row is parsed or encoded again on its
+way to the wire and the producer's next post does not wait on work
+only the sender needs.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
-from operator import itemgetter, mod
-from zlib import crc32
 
 from .metrics import Counters
 from .pipeline import RowFifo, Run
@@ -41,8 +39,6 @@ from .records import LINE_BREAK, IngestError, Schema, parse_record
 
 MAX_BODY_BYTES = 8 * 1024 * 1024
 ERROR_LOG_LIMIT = 1000
-
-_first = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -66,17 +62,15 @@ def monotonic_us() -> int:
 
 
 class LineIngestor:
-    """The parse-and-enqueue worker behind ``POST /ingest``, for a
-    gateway of ``segments`` segments.
+    """The parse-and-enqueue worker behind ``POST /ingest``.
 
     Owns the dense seq counter for rows it accepts. Not safe for
     concurrent calls.
     """
 
-    def __init__(self, queue: RowFifo, schema: Schema, segments: int = 1) -> None:
+    def __init__(self, queue: RowFifo, schema: Schema) -> None:
         self.queue = queue
         self.schema = schema
-        self.segments = segments
         self.error_log: deque[IngestError] = deque(maxlen=ERROR_LOG_LIMIT)
         self.next_seq = 0
 
@@ -122,7 +116,7 @@ class LineIngestor:
             if taken:
                 if taken < n:  # the lines that fit, with their "\n"
                     raw = raw[:len(raw) - len(raw.split(b"\n", taken)[-1])]
-                queue.enqueue(Run(self.blobs(raw), taken, seq))
+                queue.enqueue(Run(raw, taken, seq))
                 seq += taken
                 accepted += taken
             if taken < n:
@@ -136,25 +130,6 @@ class LineIngestor:
             pos = end
         self.next_seq = seq
         return IngestReport(accepted, rejected, backpressured)
-
-    def blobs(self, raw: bytes) -> tuple[bytes, ...]:
-        """The "\\n"-ended lines of ``raw`` as one blob per segment:
-        each line, in order, in the blob of the segment that
-        ``route_record`` names for its device, crc32 of the device's
-        UTF-8 bytes modulo the segment count."""
-        segments = self.segments
-        if segments == 1:
-            return (raw,)
-        lines = raw.split(b"\n")
-        lines.pop()  # the empty tail after the last "\n"
-        buffers: list[list[bytes]] = [[] for _ in range(segments)]
-        appends = [buf.append for buf in buffers]
-        devices = map(_first, map(bytes.partition, lines, repeat(b",")))
-        for line, segment in zip(lines, map(mod, map(crc32, devices), repeat(segments))):
-            appends[segment](line)
-        for buf in buffers:
-            buf.append(b"")  # every row, the last too, ends in \n
-        return tuple(map(b"\n".join, buffers))
 
 
 def _http_response(
@@ -197,9 +172,8 @@ async def _read_head(
 
 
 class IngestServer:
-    """The HTTP front of a gateway of ``segments`` segments. Every
-    connection feeds the one ingestor, on the gateway's event loop;
-    ``ingestors`` lists it."""
+    """The HTTP front of a gateway. Every connection feeds the one
+    ingestor, on the gateway's event loop; ``ingestors`` lists it."""
 
     def __init__(
         self,
@@ -208,10 +182,9 @@ class IngestServer:
         counters: Counters,
         host: str = "127.0.0.1",
         port: int = 0,
-        segments: int = 1,
     ) -> None:
         self.counters = counters
-        self.ingestors = [LineIngestor(queue, schema, segments)]
+        self.ingestors = [LineIngestor(queue, schema)]
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None

@@ -84,7 +84,7 @@ class LoadGenerator:
             resp = conn.getresponse()
             payload = resp.read()
             return json.loads(payload)
-        except (ConnectionError, OSError, json.JSONDecodeError):
+        except (ConnectionError, OSError, http.client.HTTPException, json.JSONDecodeError):
             self.report.transport_errors += 1
             if self._conn is not None:
                 self._conn.close()

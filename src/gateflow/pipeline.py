@@ -1,8 +1,8 @@
 """FIFOs between the ingest listener and the sending slot.
 
 ``RowFifo`` is the live gateway's queue: a deque of ``Run``s, each a
-stretch of one post's rows already routed and encoded as one blob per
-segment, bounded in rows, for producers and a consumer that share one
+stretch of one post's rows encoded as one blob in body order, bounded
+in rows, for producers and a consumer that share one
 asyncio event loop. An optional ``on_fill`` callback hears each time
 the queue stops being empty; the gateway wakes its sender from there.
 
@@ -183,13 +183,13 @@ class LockFreeQueue:
 class Run(NamedTuple):
     """A stretch of accepted rows on their way to the segments.
 
-    ``blobs`` holds one encoded, "\\n"-ended blob per segment, in
-    segment order (``b""`` where the segment gets no row), each row in
-    the blob of the segment ``route_record`` names for its device;
-    ``rows`` counts them, and ``seq`` is the accept number of the first
-    row, or -1 for rows put back after a failed send."""
+    ``blob`` holds the rows encoded, each ended by "\\n", in the order
+    they were accepted; they are not routed yet: the sending slot
+    splits what it drains into one blob per segment. ``rows`` counts
+    them, and ``seq`` is the accept number of the first row, or -1 for
+    rows put back after a failed send."""
 
-    blobs: tuple[bytes, ...]
+    blob: bytes
     rows: int
     seq: int
 

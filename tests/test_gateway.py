@@ -5,6 +5,7 @@ import asyncio
 import gc
 import json
 from contextlib import asynccontextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from gateflow.config import GatewayConfig, SegmentConfig
 from gateflow import gateway
-from gateflow.gateway import Gateway, SlotRunner, _SegmentLink
+from gateflow.gateway import Gateway, Router, SlotRunner, _SegmentLink
 from gateflow.pipeline import Run
 from gateflow.segment import SegmentDaemon, start_cluster
 from gateflow.slot import Initiator, Slot, SlotPhase, route_record
@@ -331,7 +332,7 @@ class TestSendWindow:
         # write EOF, so the batch stays re-enqueueable
         async def go():
             gw, runner, reader, writer = self.one_link_runner()
-            gw.queue.enqueue(Run((b"d1,1,1\n",), 1, 0))
+            gw.queue.enqueue(Run(b"d1,1,1\n", 1, 0))
             loop = asyncio.get_running_loop()
             # after the window drained its row and went to sleep
             loop.call_later(0.02, reader.feed_eof)
@@ -347,13 +348,14 @@ class TestSendWindow:
     def test_full_batch_holds_to_the_end_of_the_window(self, monkeypatch):
         # with no room left the window neither drains nor waits on the
         # non-empty queue again: it sleeps out its time once. The cap is
-        # soft: the run that reaches it is taken whole
+        # soft: the run that reaches it is taken whole, and the runs of
+        # one drain go out joined
         monkeypatch.setattr(gateway, "MAX_BATCH_ROWS", 2)
 
         async def go():
             gw, runner, _, writer = self.one_link_runner()
-            runs = [Run((b"d1,0,0\n",), 1, 0), Run((b"d1,1,1\nd1,2,2\n",), 2, 1),
-                    Run((b"d1,3,3\n",), 1, 3)]
+            runs = [Run(b"d1,0,0\n", 1, 0), Run(b"d1,1,1\nd1,2,2\n", 2, 1),
+                    Run(b"d1,3,3\n", 1, 3)]
             for run in runs:
                 gw.queue.enqueue(run)
             drain_up_to = gw.queue.drain_up_to
@@ -364,7 +366,7 @@ class TestSendWindow:
             await runner._send_window()
             assert loop.time() - start >= 0.05
             assert calls == [2]
-            assert writer.written == [b"d1,0,0\n", b"d1,1,1\nd1,2,2\n"]
+            assert writer.written == [b"d1,0,0\nd1,1,1\nd1,2,2\n"]
             assert runner.batch == 3 and gw.queue.approx_len() == 1
             assert gw.queue.dequeue() is runs[2]
 
@@ -379,19 +381,16 @@ class TestSendWindow:
     )
     def test_a_window_takes_whole_runs_up_to_the_soft_cap(self, sizes, cap, n_segments, data):
         # whole runs from the head until the batch reaches the cap, the
-        # last taken past it by less than its own rows; each link gets
-        # its segment's non-empty blobs in run order, the rest stay
-        # queued in order
+        # last taken past it by less than its own rows; they go out in
+        # one drain, each link given the rows route_record names for
+        # its segment, in run order, and the rest stay queued in order
         runs = []
-        row = 0
+        lines = []
         for seq, size in enumerate(sizes):
-            segs = data.draw(st.lists(st.integers(0, n_segments - 1), min_size=size,
-                                      max_size=size))
-            blobs = [b""] * n_segments
-            for seg in segs:
-                blobs[seg] += f"d{seg},{row},{row}\n".encode()
-                row += 1
-            runs.append(Run(tuple(blobs), size, seq))
+            part = [f"dev{data.draw(st.integers(0, 6))},{len(lines) + k},{len(lines) + k}"
+                    for k in range(size)]
+            lines.append(part)
+            runs.append(Run("".join(f"{line}\n" for line in part).encode(), size, seq))
         taken = 0
         batch = 0
         while taken < len(runs) and batch < cap:
@@ -412,13 +411,12 @@ class TestSendWindow:
         if taken:
             assert batch - runs[taken - 1].rows < cap
         for i, link in enumerate(runner.links):
-            blobs = [run.blobs[i] for run in runs[:taken] if run.blobs[i]]
-            assert link.writer.written == blobs
-            assert link.sent == blobs
+            mine = "".join(f"{line}\n" for part in lines[:taken] for line in part
+                           if route_record(line.partition(",")[0], n_segments) == i)
+            assert link.writer.written == ([mine.encode()] if mine else [])
+            assert link.sent == link.writer.written
         assert [gw.queue.dequeue() for _ in runs[taken:]] == runs[taken:]
         assert gw.queue.approx_len() == 0
-
-        asyncio.run(go())
 
 
 class TestPark:
@@ -757,12 +755,20 @@ class TestFailureRecovery:
         asyncio.run(go())
 
 
+def devices_on(segment, segments, count):
+    """The first ``count`` devices ``dev<k>`` that ``route_record``
+    puts on ``segment``."""
+    return [d for d in (f"dev{k}" for k in range(200))
+            if route_record(d, segments) == segment][:count]
+
+
 class TestRetainedBatch:
     def test_fail_requeues_only_links_without_eof_in_order(self):
         # a slot sent to three segments and had written EOF to the
         # second when its link failed: the second's rows may be
         # committed, the others' cannot be, and go back in order
-        # ahead of rows accepted since
+        # ahead of rows accepted since, each blob as a plain run that
+        # routing sends to the segment it came from
         config = GatewayConfig(
             segments=tuple(SegmentConfig(id=f"seg{i}", port=0) for i in range(3)),
             listen_addr="127.0.0.1:0",
@@ -774,14 +780,19 @@ class TestRetainedBatch:
         gw.state.note_dispatched(sid, 2)
         slot = gw.state.slots[sid]
         runner = SlotRunner(gw, slot)
+        a, b = devices_on(0, 3, 2)
+        (c,) = devices_on(1, 3, 1)
+        d, e = devices_on(2, 3, 2)
         runner.links = [
-            _SegmentLink("seg0", None, None, sent=[b"a,1,0\nb,1,1\n", b"a,2,2\n"]),
-            _SegmentLink("seg1", None, None, sent=[b"c,1,3\n"], eof_sent=True),
-            _SegmentLink("seg2", None, None, sent=[b"d,1,4\n", b"e,1,5\nd,2,6\n"]),
+            _SegmentLink("seg0", None, None, sent=[f"{a},1,0\n{b},1,1\n".encode(),
+                                                   f"{a},2,2\n".encode()]),
+            _SegmentLink("seg1", None, None, sent=[f"{c},1,3\n".encode()], eof_sent=True),
+            _SegmentLink("seg2", None, None, sent=[f"{d},1,4\n".encode(),
+                                                   f"{e},1,5\n{d},2,6\n".encode()]),
         ]
         sent = [list(link.sent) for link in runner.links]
         runner.batch = 7
-        later = Run((b"", b"", b"z,9,9\n"), 1, 9)
+        later = Run(f"{a},9,9\n".encode(), 1, 9)
         gw.queue.enqueue(later)
 
         error = ConnectionResetError("segment seg0: link lost during send")
@@ -789,29 +800,113 @@ class TestRetainedBatch:
         gw.runner_done(runner, error)  # the task's exit, which retires the slot
 
         requeued = gw.queue.drain_up_to(100)
-        lines = [
-            (i, line.decode())
-            for run in requeued
-            for i, blob in enumerate(run.blobs)
-            for line in blob.splitlines()
-        ]
-        assert [line for _, line in lines] == [
-            "a,1,0", "b,1,1", "a,2,2", "d,1,4", "e,1,5", "d,2,6", "z,9,9",
-        ]
-        assert [line.split(",")[0] for _, line in lines[:-1]] == ["a", "b", "a", "d", "e", "d"]
-        assert [i for i, _ in lines[:-1]] == [0, 0, 0, 2, 2, 2]
         assert requeued[-1] is later
-        # each blob goes back as it was sent, a run of its own segment
-        assert [run.blobs for run in requeued[:-1]] == [
-            (blob, b"", b"") for blob in sent[0]] + [(b"", b"", blob) for blob in sent[2]]
-        assert all(run.blobs[i] is blob for run, blob, i in zip(
-            requeued, sent[0] + sent[2], [0, 0, 2, 2]))
-        assert [(run.rows, run.seq) for run in requeued[:-1]] == [(2, -1), (1, -1), (1, -1),
-                                                                  (2, -1)]
+        # each blob goes back as it was sent, a plain run of its rows
+        assert requeued[:-1] == [Run(blob, blob.count(b"\n"), -1) for blob in sent[0] + sent[2]]
+        assert all(run.blob is blob for run, blob in zip(requeued, sent[0] + sent[2]))
         assert gw.queue.approx_len() == 0
+        assert gw.counters.snapshot()["rows_in_doubt"] == 1
+        # routed again, each row goes back to its segment, every device
+        # in order and ahead of the row accepted since
+        resent = gw.router.split(b"".join(run.blob for run in requeued))
+        assert resent == [b"".join(sent[0]) + f"{a},9,9\n".encode(), b"", b"".join(sent[2])]
         assert runner.batch == 0 and [link.sent for link in runner.links] == [[], [], []]
         assert slot.history[-1].initiator is Initiator.FAILURE
         assert slot.retired and sid not in gw.state.slots
+
+    def test_requeued_rows_commit_once_on_their_segment(self):
+        # one of three links is cut in the middle of a send window: no
+        # EOF went out, so every row the slot sent goes back, routes to
+        # the segment it was sent to, and commits there exactly once,
+        # each device's rows in seq order
+        async def go():
+            async with live_gateway(n_segments=3, interval_ms=300, max_slots=1) as (gw, daemons):
+                posted = 0
+                cut = False
+                for _wave in range(5):
+                    await post_lines(gw.ingest_port, lines_for(range(posted, posted + 2000), 11))
+                    posted += 2000
+                    for _ in range(300):
+                        sending = [r for r in gw.runners.values()
+                                   if r.slot.phase is SlotPhase.SEND and r.batch
+                                   and all(link.sent for link in r.links)]
+                        if sending:
+                            # no await between the check and the cut: the
+                            # window is open and EOF has not gone out
+                            sending[0].links[1].writer.transport.abort()
+                            cut = True
+                            break
+                        await asyncio.sleep(0.001)
+                    if cut:
+                        break
+                    assert await gw.quiesce(timeout_s=20)
+                assert cut, "never caught a send window to cut"
+                await post_lines(gw.ingest_port, lines_for(range(posted, posted + 500), 11))
+                posted += 500
+                assert await gw.quiesce(timeout_s=30)
+                snap = gw.counters.snapshot()
+                assert snap["slot_failures_total"] >= 1 and snap["rows_in_doubt"] == 0
+                assert snap["rows_committed"] == posted
+                return [d.store.committed_lines() for d in daemons], posted
+
+        stored, posted = asyncio.run(go())
+        assert sorted(seqs_in(sum(stored, []))) == list(range(posted))
+        for segment, lines in enumerate(stored):
+            devices = {line.partition(",")[0] for line in lines}
+            assert all(route_record(dev, 3) == segment for dev in devices)
+            for dev in devices:
+                seqs = seqs_in(line for line in lines if line.startswith(f"{dev},"))
+                assert seqs == sorted(seqs)
+
+
+class TestRouter:
+    """``Router`` against ``route_record``: the table it keeps across
+    drains changes no row's segment, whatever the device, also once it
+    has been cleared at its bound."""
+
+    @given(
+        devices=st.lists(
+            st.one_of(
+                st.text(st.characters(blacklist_characters=",\n", blacklist_categories=("Cs",)),
+                         max_size=6),
+                # what the gateway keeps of a device that was not UTF-8
+                st.binary(max_size=6).map(lambda raw: raw.decode("utf-8", errors="replace")),
+            ).filter(lambda dev: "," not in dev and "\n" not in dev),
+            max_size=30,
+        ),
+        segments=st.integers(1, 4),
+        limit=st.integers(1, 5),
+    )
+    @example(devices=["\ufffd", "d\u00e9v\u20ac", "\ufffd\ufffd", "", "d1"], segments=3, limit=2)
+    @settings(max_examples=200, deadline=None)
+    def test_the_table_routes_as_route_record(self, devices, segments, limit):
+        lines = [f"{dev},1,{k}" for k, dev in enumerate(devices)]
+        raw = "".join(f"{line}\n" for line in lines).encode()
+        expected = [
+            "".join(f"{line}\n" for line, dev in zip(lines, devices)
+                    if route_record(dev, segments) == segment).encode()
+            for segment in range(segments)
+        ]
+        router = Router(segments)
+        with mock.patch.object(gateway, "ROUTE_TABLE_LIMIT", limit):
+            for _ in range(3):  # a cold table, then a warm one
+                assert router.split(raw) == ([raw] if segments == 1 else expected)
+                assert len(router.table) <= limit
+            for dev in devices:
+                assert router.segment(dev.encode()) == route_record(dev, segments)
+                assert len(router.table) <= limit
+
+    def test_the_table_is_cleared_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(gateway, "ROUTE_TABLE_LIMIT", 4)
+        router = Router(3)
+        router.split(b"".join(f"d{k},1,{k}\n".encode() for k in range(4)))
+        assert len(router.table) == 4
+        router.split(b"d9,1,9\n")  # a fifth device: the table starts over
+        assert router.table == {b"d9": route_record("d9", 3)}
+
+    def test_one_segment_takes_the_bytes_as_they_are(self):
+        raw = b"d1,1,1\nd2,2,2\n"
+        assert Router(1).split(raw)[0] is raw
 
 
 @st.composite

@@ -5,7 +5,6 @@ import json
 import re
 import time
 from contextlib import asynccontextmanager
-from itertools import islice
 from typing import NamedTuple
 from unittest import mock
 
@@ -14,6 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gateflow.ingest as ingest_mod
+from gateflow import gateway
+from gateflow import slot as slot_mod
+from gateflow.config import GatewayConfig, SegmentConfig
+from gateflow.gateway import Router
 from gateflow.ingest import IngestReport, IngestServer, LineIngestor, MAX_BODY_BYTES, monotonic_us
 from gateflow.metrics import COUNTER_KEYS, Counters
 from gateflow.pipeline import EnqueueResult, LockFreeQueue, RowFifo, Run
@@ -36,23 +39,18 @@ class QueuedRow(NamedTuple):
     device_id: str
     line: str
     seq: int
-    segment: int
 
 
 def expand(runs):
-    """The rows of ``runs``: each run's rows segment by segment, each
-    segment's in blob order, numbered on from the run's first seq (a
-    requeued run's rows all carry -1). With one segment that is body
-    order, and every row carries its own seq."""
+    """The rows of ``runs`` in queue order, each run's in blob order,
+    numbered on from the run's first seq (a requeued run's rows all
+    carry -1)."""
     rows = []
     for run in runs:
-        k = 0
-        for segment, blob in enumerate(run.blobs):
-            for line in blob.decode().split("\n")[:-1]:
-                seq = run.seq + k if run.seq >= 0 else -1
-                rows.append(QueuedRow(line.partition(",")[0], line, seq, segment))
-                k += 1
-        assert k == run.rows
+        lines = run.blob.decode().split("\n")
+        assert lines.pop() == "" and len(lines) == run.rows
+        rows += [QueuedRow(line.partition(",")[0], line, run.seq + k if run.seq >= 0 else -1)
+                 for k, line in enumerate(lines)]
     return rows
 
 
@@ -226,14 +224,15 @@ _SCHEMAS = [Schema.parse_spec(spec) for spec in (
 class TestBulkPathMatchesPerLine:
     """The run-at-a-time ``handle_post`` against the per-line loop it
     replaced: same report, error log, queued rows and ``next_seq``, at
-    every queue capacity from 0 to the body's line count, for one, two
-    and three segments. The bulk path calls ``parse_record`` exactly on
-    the lines the reference parses that the run pattern does not
-    match, and puts every row in the blob of the segment
+    every queue capacity from 0 to the body's line count. The bulk
+    path calls ``parse_record`` exactly on the lines the reference
+    parses that the run pattern does not match, and queues the
+    accepted lines in body order; the sender's split of them, for one,
+    two and three segments, puts every row in the blob of the segment
     ``route_record`` names."""
 
     @staticmethod
-    def outcome(handle, schema, body, capacity, segments=1):
+    def outcome(handle, schema, body, capacity):
         """(report, error log, queued items, next_seq, line numbers
         parsed); the bulk path queues runs on a ``RowFifo``, the
         reference ``Record``s on a ``LockFreeQueue``, and the
@@ -248,7 +247,7 @@ class TestBulkPathMatchesPerLine:
         bulk = handle is LineIngestor.handle_post
         in_run = [schema.run_end(ln, 0) == len(ln) for ln in body.splitlines(True)]
         queue = RowFifo(capacity) if bulk else LockFreeQueue(capacity)
-        ing = LineIngestor(queue, schema, segments)
+        ing = LineIngestor(queue, schema)
         ing.next_seq = 5
         with mock.patch.object(ingest_mod, "parse_record", counting_parse):
             report = handle(ing, body)
@@ -260,31 +259,21 @@ class TestBulkPathMatchesPerLine:
             calls if bulk else [n for n in calls if not in_run[n - 1]],
         )
 
-    @staticmethod
-    def in_runs(records, runs, segments):
-        """The reference's rows cut where the runs cut them and laid out
-        as ``expand`` lays out a run. Each run must hold the next
-        ``rows`` seqs of the reference, in order."""
-        rows = []
-        records = iter(records)
-        for run in runs:
-            part = list(islice(records, run.rows))
-            assert [r.seq for r in part] == list(range(run.seq, run.seq + run.rows))
-            segment = [route_record(r.device_id, segments) for r in part]
-            order = sorted(range(len(part)), key=segment.__getitem__)  # stable
-            rows += [QueuedRow(part[i].device_id, part[i].line, run.seq + k, segment[i])
-                     for k, i in enumerate(order)]
-        assert next(records, None) is None
-        return rows
-
     def assert_same(self, schema, body, capacity, segments=1):
-        bulk = self.outcome(LineIngestor.handle_post, schema, body, capacity, segments)
+        bulk = self.outcome(LineIngestor.handle_post, schema, body, capacity)
         ref = self.outcome(per_line_handle_post, schema, body, capacity)
-        runs = bulk[2]
-        assert all(type(run) is Run and len(run.blobs) == segments for run in runs)
-        rows = expand(runs)
-        assert all(r.segment == route_record(r.device_id, segments) for r in rows)
-        assert rows == self.in_runs(ref[2], runs, segments)
+        runs, records = bulk[2], ref[2]
+        assert all(type(run) is Run and type(run.blob) is bytes for run in runs)
+        # the queued bytes are the accepted lines in body order, each
+        # run holding the next seqs
+        assert expand(runs) == [QueuedRow(r.device_id, r.line, r.seq) for r in records]
+        # the sender's one split of what it drains is per-line routing
+        blobs = Router(segments).split(b"".join(run.blob for run in runs))
+        assert blobs == [
+            "".join(f"{r.line}\n" for r in records
+                    if route_record(r.device_id, segments) == segment).encode()
+            for segment in range(segments)
+        ]
         assert bulk[:2] + bulk[3:] == ref[:2] + ref[3:]
         return bulk
 
@@ -314,7 +303,7 @@ class TestBulkPathMatchesPerLine:
             return new(cls, *args, **kw)
 
         body = "".join(f"d{i % 64},{1700000000 + i},{i}.5\n" for i in range(1000))
-        ing = LineIngestor(RowFifo(), SCHEMA, 2)
+        ing = LineIngestor(RowFifo(), SCHEMA)
         with mock.patch.object(Record, "__new__", counting_new), \
                 mock.patch.object(ingest_mod, "parse_record", side_effect=AssertionError):
             assert ing.handle_post(body) == IngestReport(1000, 0, 0)
@@ -323,7 +312,29 @@ class TestBulkPathMatchesPerLine:
             assert len(made) == 1
         assert not hasattr(ingest_mod, "Record")
         (run,) = ing.queue.drain_up_to(1000)
-        assert run.rows == 1000 and all(type(blob) is bytes for blob in run.blobs)
+        assert run.rows == 1000 and run.blob == body.encode()
+
+    def test_handle_post_never_routes(self):
+        # routing is the sender's work, once per drain: the post is
+        # answered without it, with its rows queued in body order
+        config = GatewayConfig(
+            segments=tuple(SegmentConfig(id=f"seg{i}", port=0) for i in range(3)),
+            listen_addr="127.0.0.1:0",
+            schema="value:float",
+        )
+        gw = gateway.Gateway(config)
+        lines = [f"d{i % 64},{1700000000 + i},{i}.5" for i in range(1000)]
+        lines[500] = "d7,1,1e3"  # outside the run pattern, parsed alone
+        body = "".join(f"{line}\n" for line in lines)
+        refuse = mock.Mock(side_effect=AssertionError("routed on the ack path"))
+        with mock.patch.object(Router, "split", refuse), \
+                mock.patch.object(Router, "segment", refuse), \
+                mock.patch.object(gateway, "route_record", refuse), \
+                mock.patch.object(slot_mod, "route_record", refuse):
+            report = gw.ingest.ingestors[0].handle_post(body)
+        assert report == IngestReport(1000, 0, 0)
+        assert refuse.call_count == 0
+        assert b"".join(run.blob for run in gw.queue.drain_up_to(1000)) == body.encode()
 
     @pytest.mark.parametrize("line", [
         "d,1,1e3", "d,1,1.5e-3", "d,1," + "0" * 400 + "1", "d,1," + "9" * 308,

@@ -7,6 +7,7 @@ directly, same as production callers do.
 """
 
 import asyncio
+import socket
 import threading
 import time
 
@@ -78,6 +79,48 @@ class BackgroundIngest:
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(5)
         self.loop.close()
+
+
+class CannedPeer:
+    """A raw-socket peer on its own thread: it reads each request on a
+    connection, answers with ``reply`` and hangs up; ``requests`` counts
+    the requests it read."""
+
+    def __init__(self, reply: bytes):
+        self.reply = reply
+        self.requests = 0
+
+    def __enter__(self):
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.sock.settimeout(0.1)
+        self.port = self.sock.getsockname()[1]
+        self.stopping = False
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+        return self
+
+    def _serve(self):
+        while not self.stopping:
+            try:
+                conn, _ = self.sock.accept()
+            except OSError:
+                continue
+            with conn:
+                conn.settimeout(5)
+                data = b""
+                while b"\r\n\r\n" not in data:
+                    data += conn.recv(65536) or b"\r\n\r\n"
+                head, _, body = data.partition(b"\r\n\r\n")
+                length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
+                while len(body) < length:
+                    body += conn.recv(65536)
+                self.requests += 1
+                conn.sendall(self.reply)
+
+    def __exit__(self, *exc):
+        self.stopping = True
+        self.thread.join(5)
+        self.sock.close()
 
 
 class TestSyntheticLines:
@@ -201,7 +244,19 @@ class TestAgainstLiveListener:
             report = run_loadgen("127.0.0.1", srv.port, file=str(path))
             runs = srv.queue.drain_up_to(10)
         assert report.accepted == 1
-        assert [run.blobs for run in runs] == [("d\u00e9v\u20ac,1001,1\n".encode(),)]
+        assert [run.blob for run in runs] == ["d\u00e9v\u20ac,1001,1\n".encode()]
+
+    @pytest.mark.parametrize("reply", [
+        pytest.param(b"garbage\r\n\r\n", id="BadStatusLine"),
+        pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"acc", id="IncompleteRead"),
+    ])
+    def test_a_broken_http_reply_is_a_transport_error(self, reply):
+        # http.client raises HTTPException, not OSError, for a reply it
+        # cannot frame: each post counts one error and drops the link
+        with CannedPeer(reply) as peer:
+            report = run_loadgen("127.0.0.1", peer.port, rows=30, batch_lines=10)
+        assert peer.requests == 3
+        assert (report.transport_errors, report.unresolved, report.accepted) == (3, 30, 0)
 
     def test_dead_port_yields_transport_errors_not_a_crash(self):
         import socket

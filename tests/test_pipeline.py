@@ -18,8 +18,8 @@ from gateflow.pipeline import EnqueueResult, LockFreeQueue, RowFifo, Run, Versio
 
 
 def run(tag, rows=1, seq=0):
-    """A one-segment run of ``rows`` rows, told apart by ``tag``."""
-    return Run(("".join(f"{tag},{i},{i}\n" for i in range(rows)).encode(),), rows, seq)
+    """A run of ``rows`` rows, told apart by ``tag``."""
+    return Run("".join(f"{tag},{i},{i}\n" for i in range(rows)).encode(), rows, seq)
 
 
 def drain_all(q):
