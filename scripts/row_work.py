@@ -31,7 +31,7 @@ import statistics
 import sys
 import time
 
-from gateflow.gateway import MAX_BATCH_ROWS, Router, _SegmentLink, write_runs
+from gateflow.gateway import DRAIN_ROWS, _SegmentLink, write_runs
 from gateflow.ingest import LineIngestor
 from gateflow.pipeline import RowFifo
 from gateflow.records import Schema
@@ -81,7 +81,6 @@ def one_pass(bodies: list[bytes], segments: int) -> tuple[int, int, int]:
     """(rows posted, ingest ns, send ns) for one feed of every body."""
     queue = RowFifo(capacity=QUEUE_CAPACITY)
     ingestor = LineIngestor(queue, Schema.parse_spec(SCHEMA))
-    router = Router(segments)
     links = [_SegmentLink(f"seg{i}", None, NullWriter()) for i in range(segments)]
     clock = time.perf_counter_ns
     rows = ingest_ns = send_ns = written = 0
@@ -89,7 +88,7 @@ def one_pass(bodies: list[bytes], segments: int) -> tuple[int, int, int]:
         t0 = clock()
         report = ingestor.handle_post(body.decode("utf-8", errors="replace"))
         t1 = clock()
-        write_runs(links, queue.drain_up_to(MAX_BATCH_ROWS), router)
+        write_runs(links, queue.drain_up_to(DRAIN_ROWS))
         t2 = clock()
         for link in links:
             # the rows the links were given, every segment's together

@@ -3,11 +3,12 @@ wired together on one asyncio event loop.
 
 Each slot is owned by a single task cycling connect -> wait -> send ->
 commit against a persistent connection per segment. The send window
-takes whole runs from the queue, joins their rows, which the ingest
-listener has encoded exactly as the producer posted them, and routes
-them once per drain: a ``Router`` splits them into one blob per
-segment, each row in the blob of the segment ``route_record`` names
-for its device, and each blob is written to its segment as it is. A
+takes whole runs from the queue, a bounded number of rows at a time,
+joins their rows, which the ingest listener has encoded exactly as the
+producer posted them, and routes them once per drain: ``split_rows``
+cuts them into one blob per segment, each row in the blob of the
+segment ``route_record`` names for its device, and each blob is
+written to its segment as it is. A
 batch is kept in memory, as the blobs already written to each segment,
 until every segment acknowledges its commit; a connection lost
 mid-send aborts the segment transaction (nothing became visible) and
@@ -31,7 +32,8 @@ import logging
 import uuid
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import itemgetter
+from operator import itemgetter, mod
+from zlib import crc32
 
 from .config import GatewayConfig
 from .ingest import IngestServer, monotonic_us
@@ -46,7 +48,10 @@ from .scheduler import (
     next_deadline,
     tick,
 )
-from .slot import Initiator, Slot, SlotPhase, Transition, make_txn_id, route_record
+from .slot import Initiator, Slot, SlotPhase, Transition, make_txn_id
+# not called here: the benchmark's tracer patches this name until it
+# moves to stable seams
+from .slot import route_record  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -54,9 +59,10 @@ TABLE_NAME = "ingest"
 # a soft bound: a window stops taking runs once its batch holds this
 # many rows, so a batch passes it by less than one run, at most one post
 MAX_BATCH_ROWS = 1_000_000
-# the router's device -> segment table is cleared once it holds this
-# many devices, so a stream of ever-new devices cannot grow it forever
-ROUTE_TABLE_LIMIT = 1 << 14
+# a drain takes whole runs until they hold this many rows, so routing
+# a backlog, a requeued batch say, holds the loop for a few ms at a
+# time, and the window awaits the links between drains
+DRAIN_ROWS = 1 << 14
 
 _first = itemgetter(0)
 
@@ -99,58 +105,32 @@ class _SegmentLink:
             raise ConnectionResetError(f"segment {self.segment}: link lost during send")
 
 
-class Router:
-    """Splits "\\n"-ended rows into one blob per segment of
-    ``segments``, each row in the blob of the segment ``route_record``
-    names for its device (the text before its first comma). Devices
-    are looked up in a table that lives as long as the router; a
-    device missing from it is routed by ``route_record`` and learned,
-    and the table is cleared when it holds ``ROUTE_TABLE_LIMIT``."""
-
-    def __init__(self, segments: int) -> None:
-        self.segments = segments
-        self.table: dict[bytes, int] = {}
-
-    def segment(self, device: bytes) -> int:
-        """The segment of ``device``, from the table or learned into it."""
-        table = self.table
-        segment = table.get(device)
-        if segment is None:
-            if len(table) >= ROUTE_TABLE_LIMIT:
-                table.clear()
-            # rows are UTF-8 encoded text, so the device decodes back
-            segment = table[device] = route_record(device.decode(), self.segments)
-        return segment
-
-    def split(self, raw: bytes) -> list[bytes]:
-        """One blob per segment, in segment order (``b""`` where a
-        segment gets no row), each holding its rows of ``raw`` in
-        order; with one segment, ``raw`` itself."""
-        segments = self.segments
-        if segments == 1:
-            return [raw]
-        lines = raw.split(b"\n")
-        lines.pop()  # the empty tail after the last "\n"
-        devices = list(map(_first, map(bytes.partition, lines, repeat(b","))))
-        try:
-            routes = list(map(self.table.__getitem__, devices))
-        except KeyError:  # a device this router has not seen yet
-            routes = list(map(self.segment, devices))
-        buffers: list[list[bytes]] = [[] for _ in range(segments)]
-        appends = [buf.append for buf in buffers]
-        for line, segment in zip(lines, routes):
-            appends[segment](line)
-        for buf in buffers:
-            buf.append(b"")  # every row, the last too, ends in \n
-        return list(map(b"\n".join, buffers))
+def split_rows(raw: bytes, segments: int) -> list[bytes]:
+    """The "\\n"-ended rows of ``raw`` as one blob per segment, in
+    segment order (``b""`` where a segment gets no row): each row, in
+    order, in the blob of the segment that ``route_record`` names for
+    its device, crc32 of the text before its first comma modulo
+    ``segments``. With one segment, ``raw`` itself."""
+    if segments == 1:
+        return [raw]
+    lines = raw.split(b"\n")
+    lines.pop()  # the empty tail after the last "\n"
+    buffers: list[list[bytes]] = [[] for _ in range(segments)]
+    appends = [buf.append for buf in buffers]
+    devices = map(_first, map(bytes.partition, lines, repeat(b",")))
+    for line, segment in zip(lines, map(mod, map(crc32, devices), repeat(segments))):
+        appends[segment](line)
+    for buf in buffers:
+        buf.append(b"")  # every row, the last too, ends in \n
+    return list(map(b"\n".join, buffers))
 
 
-def write_runs(links: list[_SegmentLink], runs: list[Run], router: Router) -> int:
-    """Join the rows of ``runs``, split them once with ``router`` and
-    write each segment's blob to that segment's link, keeping it there
-    until the commit; returns the rows written. An empty blob is
-    neither written nor kept."""
-    for link, blob in zip(links, router.split(b"".join([run.blob for run in runs]))):
+def write_runs(links: list[_SegmentLink], runs: list[Run]) -> int:
+    """Join the rows of ``runs``, split them once over the segments of
+    ``links`` and write each segment's blob to that segment's link,
+    keeping it there until the commit; returns the rows written. An
+    empty blob is neither written nor kept."""
+    for link, blob in zip(links, split_rows(b"".join([run.blob for run in runs]), len(links))):
         if blob:
             link.sent.append(blob)
             link.writer.write(blob)
@@ -250,7 +230,7 @@ class SlotRunner:
         links = self.links
         while gw.now() < deadline:
             room = MAX_BATCH_ROWS - self.batch
-            runs = gw.queue.drain_up_to(room) if room > 0 else []
+            runs = gw.queue.drain_up_to(min(room, DRAIN_ROWS)) if room > 0 else []
             if not runs:
                 # an empty queue or a full batch. A segment that hung up
                 # is only visible on the read side, and noticing it now,
@@ -260,7 +240,7 @@ class SlotRunner:
                     link.check()
                 await self.park(deadline)
                 continue
-            self.batch += write_runs(links, runs, gw.router)
+            self.batch += write_runs(links, runs)
             for link in links:
                 await link.writer.drain()
         # the last park may have outlived a link: check once more
@@ -349,7 +329,6 @@ class Gateway:
         self.nonce = uuid.uuid4().hex[:8]
         host, port = config.listen_host_port()
         self.ingest = IngestServer(self.queue, self.schema, self.counters, host, port)
-        self.router = Router(len(config.segments))
         self.runners: dict[int, SlotRunner] = {}
         self.audit_slots: list[Slot] = []
         self._tick_soon: asyncio.Handle | None = None

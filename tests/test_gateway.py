@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from gateflow.config import GatewayConfig, SegmentConfig
 from gateflow import gateway
-from gateflow.gateway import Gateway, Router, SlotRunner, _SegmentLink
+from gateflow.gateway import DRAIN_ROWS, Gateway, SlotRunner, _SegmentLink, split_rows
 from gateflow.pipeline import Run
 from gateflow.segment import SegmentDaemon, start_cluster
 from gateflow.slot import Initiator, Slot, SlotPhase, route_record
@@ -808,7 +808,7 @@ class TestRetainedBatch:
         assert gw.counters.snapshot()["rows_in_doubt"] == 1
         # routed again, each row goes back to its segment, every device
         # in order and ahead of the row accepted since
-        resent = gw.router.split(b"".join(run.blob for run in requeued))
+        resent = split_rows(b"".join(run.blob for run in requeued), 3)
         assert resent == [b"".join(sent[0]) + f"{a},9,9\n".encode(), b"", b"".join(sent[2])]
         assert runner.batch == 0 and [link.sent for link in runner.links] == [[], [], []]
         assert slot.history[-1].initiator is Initiator.FAILURE
@@ -859,10 +859,8 @@ class TestRetainedBatch:
                 assert seqs == sorted(seqs)
 
 
-class TestRouter:
-    """``Router`` against ``route_record``: the table it keeps across
-    drains changes no row's segment, whatever the device, also once it
-    has been cleared at its bound."""
+class TestSplitRows:
+    """``split_rows`` against ``route_record``, whatever the device."""
 
     @given(
         devices=st.lists(
@@ -875,11 +873,10 @@ class TestRouter:
             max_size=30,
         ),
         segments=st.integers(1, 4),
-        limit=st.integers(1, 5),
     )
-    @example(devices=["\ufffd", "d\u00e9v\u20ac", "\ufffd\ufffd", "", "d1"], segments=3, limit=2)
+    @example(devices=["\ufffd", "d\u00e9v\u20ac", "\ufffd\ufffd", "", "d1"], segments=3)
     @settings(max_examples=200, deadline=None)
-    def test_the_table_routes_as_route_record(self, devices, segments, limit):
+    def test_routes_as_route_record(self, devices, segments):
         lines = [f"{dev},1,{k}" for k, dev in enumerate(devices)]
         raw = "".join(f"{line}\n" for line in lines).encode()
         expected = [
@@ -887,26 +884,71 @@ class TestRouter:
                     if route_record(dev, segments) == segment).encode()
             for segment in range(segments)
         ]
-        router = Router(segments)
-        with mock.patch.object(gateway, "ROUTE_TABLE_LIMIT", limit):
-            for _ in range(3):  # a cold table, then a warm one
-                assert router.split(raw) == ([raw] if segments == 1 else expected)
-                assert len(router.table) <= limit
-            for dev in devices:
-                assert router.segment(dev.encode()) == route_record(dev, segments)
-                assert len(router.table) <= limit
-
-    def test_the_table_is_cleared_at_its_bound(self, monkeypatch):
-        monkeypatch.setattr(gateway, "ROUTE_TABLE_LIMIT", 4)
-        router = Router(3)
-        router.split(b"".join(f"d{k},1,{k}\n".encode() for k in range(4)))
-        assert len(router.table) == 4
-        router.split(b"d9,1,9\n")  # a fifth device: the table starts over
-        assert router.table == {b"d9": route_record("d9", 3)}
+        assert split_rows(raw, segments) == expected
 
     def test_one_segment_takes_the_bytes_as_they_are(self):
         raw = b"d1,1,1\nd2,2,2\n"
-        assert Router(1).split(raw)[0] is raw
+        assert split_rows(raw, 1)[0] is raw
+
+
+class _KeepWriter:
+    """Keeps what a send window writes; never pushes back."""
+
+    def __init__(self) -> None:
+        self.written: list[bytes] = []
+
+    def write(self, blob: bytes) -> None:
+        self.written.append(blob)
+
+    async def drain(self) -> None:
+        pass
+
+
+class _OpenReader:
+    """The read side of a link whose segment has not hung up."""
+
+    def at_eof(self) -> bool:
+        return False
+
+    def exception(self) -> None:
+        return None
+
+
+class TestDrainBound:
+    def test_a_backlog_is_routed_a_bounded_drain_at_a_time(self):
+        # a backlog, as a requeued batch leaves, goes out in drains of
+        # about DRAIN_ROWS rows, not in one, and every row still reaches
+        # its segment in order
+        config = GatewayConfig(
+            segments=tuple(SegmentConfig(id=f"seg{i}", port=0) for i in range(3)),
+            listen_addr="127.0.0.1:0",
+            schema="seq:int",
+            interval_ms=50,
+        )
+        gw = Gateway(config)
+        runner = SlotRunner(gw, Slot(slot_id=1))
+        runner.links = [_SegmentLink(f"seg{i}", _OpenReader(), _KeepWriter()) for i in range(3)]
+        post = 1000
+        lines = lines_for(range(4 * DRAIN_ROWS // post * post), devices=64)
+        runs = [Run("".join(f"{line}\n" for line in lines[k:k + post]).encode(), post, -1)
+                for k in range(0, len(lines), post)]
+        gw.queue.requeue(runs)
+        drained = []
+        drain = gw.queue.drain_up_to
+
+        def counting_drain(max_rows):
+            out = drain(max_rows)
+            drained.append(sum(run.rows for run in out))
+            return out
+
+        with mock.patch.object(gw.queue, "drain_up_to", counting_drain):
+            asyncio.run(runner._send_window())
+        taken = [rows for rows in drained if rows]
+        assert sum(taken) == len(lines) == runner.batch
+        assert len(taken) > 1 and max(taken) < DRAIN_ROWS + post
+        whole = "".join(f"{line}\n" for line in lines).encode()
+        assert [b"".join(link.writer.written) for link in runner.links] == split_rows(whole, 3)
+        assert [link.sent for link in runner.links] == [link.writer.written for link in runner.links]
 
 
 @st.composite

@@ -16,7 +16,7 @@ import gateflow.ingest as ingest_mod
 from gateflow import gateway
 from gateflow import slot as slot_mod
 from gateflow.config import GatewayConfig, SegmentConfig
-from gateflow.gateway import Router
+from gateflow.gateway import split_rows
 from gateflow.ingest import IngestReport, IngestServer, LineIngestor, MAX_BODY_BYTES, monotonic_us
 from gateflow.metrics import COUNTER_KEYS, Counters
 from gateflow.pipeline import EnqueueResult, LockFreeQueue, RowFifo, Run
@@ -268,7 +268,7 @@ class TestBulkPathMatchesPerLine:
         # run holding the next seqs
         assert expand(runs) == [QueuedRow(r.device_id, r.line, r.seq) for r in records]
         # the sender's one split of what it drains is per-line routing
-        blobs = Router(segments).split(b"".join(run.blob for run in runs))
+        blobs = split_rows(b"".join(run.blob for run in runs), segments)
         assert blobs == [
             "".join(f"{r.line}\n" for r in records
                     if route_record(r.device_id, segments) == segment).encode()
@@ -327,8 +327,8 @@ class TestBulkPathMatchesPerLine:
         lines[500] = "d7,1,1e3"  # outside the run pattern, parsed alone
         body = "".join(f"{line}\n" for line in lines)
         refuse = mock.Mock(side_effect=AssertionError("routed on the ack path"))
-        with mock.patch.object(Router, "split", refuse), \
-                mock.patch.object(Router, "segment", refuse), \
+        with mock.patch.object(gateway, "split_rows", refuse), \
+                mock.patch.object(gateway, "write_runs", refuse), \
                 mock.patch.object(gateway, "route_record", refuse), \
                 mock.patch.object(slot_mod, "route_record", refuse):
             report = gw.ingest.ingestors[0].handle_post(body)
