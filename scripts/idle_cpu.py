@@ -1,10 +1,16 @@
-"""Idle cost of a gateway: CPU and empty commits with no traffic.
+"""Idle cost of a gateway: CPU, empty commits and retained state with
+no traffic.
 
 Starts N in-process segment daemons and a gateway, posts nothing, and
 prints, over ``--seconds``, the CPU this process used as a percentage
 of one core (gateway and segments together) and the transactions the
 segments committed per second, summed over all of them. With no
-traffic every one of those commits is empty.
+traffic every one of those commits is empty. It also prints how fast
+state that nothing frees grows: ``txns_retained_per_s``, the growth
+of the segments' transaction tables (``SegmentDaemon.txns``, summed),
+and ``transitions_retained_per_s``, the growth of the gateway's slot
+history (``Gateway.transitions()``). Both are plain counts read before
+and after the window, so they add no cost inside it.
 
     PYTHONPATH=src python scripts/idle_cpu.py --segments 2 --seconds 10
 """
@@ -43,10 +49,14 @@ async def measure(args) -> dict[str, float]:
     await gw.start()
     try:
         commits0 = committed_txns(daemons)
+        txns0 = sum(len(d.txns) for d in daemons)
+        transitions0 = len(gw.transitions())
         cpu0, wall0 = time.process_time(), time.monotonic()
         await asyncio.sleep(args.seconds)
         cpu1, wall1 = time.process_time(), time.monotonic()
         commits1 = committed_txns(daemons)
+        txns1 = sum(len(d.txns) for d in daemons)
+        transitions1 = len(gw.transitions())
     finally:
         await gw.stop()
         for d in daemons:
@@ -55,6 +65,8 @@ async def measure(args) -> dict[str, float]:
     return {
         "cpu_pct": 100 * (cpu1 - cpu0) / wall,
         "commits_per_s": (commits1 - commits0) / wall,
+        "txns_retained_per_s": (txns1 - txns0) / wall,
+        "transitions_retained_per_s": (transitions1 - transitions0) / wall,
     }
 
 

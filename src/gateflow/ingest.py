@@ -225,7 +225,7 @@ class IngestServer:
                 if head is None:
                     break
                 method, path, headers = head
-                length = 0
+                lengths: set[int] = set()
                 keep_alive = True
                 refusal = None
                 for name, value in headers:
@@ -235,7 +235,7 @@ class IngestServer:
                             # and a length that long is too large anyway
                             digits = value.lstrip("0")
                             too_long = len(digits) > len(str(MAX_BODY_BYTES))
-                            length = MAX_BODY_BYTES + 1 if too_long else int(digits or "0")
+                            lengths.add(MAX_BODY_BYTES + 1 if too_long else int(digits or "0"))
                         else:
                             refusal = _http_response(
                                 400, b"bad content-length\n", keep_alive=False)
@@ -246,6 +246,12 @@ class IngestServer:
                             411, b"content-length required\n", keep_alive=False)
                     elif name == "connection" and value.lower() == "close":
                         keep_alive = False
+                if refusal is None and len(lengths) > 1:
+                    # lengths that differ leave the body's end unknown
+                    # (RFC 9112 section 6.3)
+                    refusal = _http_response(
+                        400, b"conflicting content-length\n", keep_alive=False)
+                length = max(lengths, default=0)
                 if refusal is None and length > MAX_BODY_BYTES:
                     refusal = _http_response(413, b"body too large\n", keep_alive=False)
                 if refusal is not None:

@@ -21,6 +21,7 @@ from itertools import chain
 
 RETRY_BUDGET = 200  # re-posts of one batch's backpressured tail
 RETRY_DELAY_S = 0.01
+REPORT_KEYS = ("accepted", "rejected", "backpressured")
 
 
 @dataclass
@@ -66,6 +67,8 @@ class LoadGenerator:
     report: LoadgenReport = field(default_factory=LoadgenReport)
 
     def __post_init__(self) -> None:
+        if self.batch_lines < 1:
+            raise ValueError("batch_lines must be >= 1")
         self._conn: http.client.HTTPConnection | None = None
 
     def _connection(self) -> http.client.HTTPConnection:
@@ -74,6 +77,10 @@ class LoadGenerator:
         return self._conn
 
     def _post(self, body: str) -> dict | None:
+        """The gateway's report on one post, or None after a transport
+        error, which drops the connection. A reply that is not HTTP,
+        or whose body is not an object with integer ``REPORT_KEYS``,
+        is a transport error too."""
         try:
             conn = self._connection()
             # the gateway reads bodies as UTF-8; http.client would
@@ -81,15 +88,16 @@ class LoadGenerator:
             conn.request(
                 "POST", "/ingest", body.encode(), {"Content-Type": "text/plain"}
             )
-            resp = conn.getresponse()
-            payload = resp.read()
-            return json.loads(payload)
-        except (ConnectionError, OSError, http.client.HTTPException, json.JSONDecodeError):
-            self.report.transport_errors += 1
-            if self._conn is not None:
-                self._conn.close()
-                self._conn = None
-            return None
+            report = json.loads(conn.getresponse().read())
+        except (ConnectionError, OSError, http.client.HTTPException, ValueError):
+            report = None  # ValueError: not JSON, or not UTF-8
+        if isinstance(report, dict) and all(type(report.get(k)) is int for k in REPORT_KEYS):
+            return report
+        self.report.transport_errors += 1
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+        return None
 
     def _post_batch(self, lines: list[str]) -> None:
         """Post a batch, re-posting any backpressured tail."""
@@ -156,6 +164,8 @@ def run_loadgen(
 ) -> LoadgenReport:
     """File replay when ``file`` is given, else a synthetic run of
     ``rows`` rows (or rate x duration)."""
+    if devices < 1:
+        raise ValueError("devices must be >= 1")
     gen = LoadGenerator(host, port, batch_lines=batch_lines, rate=rate)
     if file is not None:
         with open(file, encoding="utf-8") as fh:

@@ -3,27 +3,30 @@
 Wire protocol, one connection per slot-segment pair, newline framed:
 
     client: BEGIN <txn-id> <table>
-    server: READY <txn-id>            (after begin latency)
+    server: READY <txn-id>            (after begin_latency_ms)
     client: <csv-row> ...             (zero or more)
     client: EOF
-    server: COMMITTED <txn-id> <n>    (after commit latency)
+    server: COMMITTED <txn-id> <n>    (after commit_fixed_ms plus
+                                       commit_per_row_us per row)
     server: ERROR <txn-id> <reason>   (duplicate-txn | unknown-txn |
                                        protocol-order)
 
 A line that is exactly ``EOF`` or starts with ``BEGIN `` is a control
-line; every other non-empty line is a row. While a transaction is
-open, each run of rows is decoded and counted as it arrives, so ``EOF``
-only hands the rows over to the commit; empty lines are not rows.
-Rows stay in the decoded text they arrived in (``RowText``), one
-``str`` per run and not one per row, in the open transaction and in
-the store alike, and are split out only when something reads them.
+line; every other non-empty line is a row. Each control line gets one
+reply, and so does each row outside a transaction (an ``ERROR``). While
+a transaction is open, each run of rows is decoded and counted as it
+arrives, with no reply, so ``EOF`` only hands the rows over to the
+commit; empty lines are not rows. Rows stay in the decoded text they
+arrived in (``RowText``), one ``str`` per run and not one per row, in
+the open transaction and in the store alike, and are split out only
+when something reads them.
 
 Rows become query-visible atomically when the commit latency elapses,
 never row-by-row; a connection dropped before EOF aborts its
-transaction and nothing from it is ever visible. The latency model
-stands in for a real storage engine: starting a transaction costs
-begin_latency_ms and committing costs commit_fixed_ms plus
-commit_per_row_us per row.
+transaction and nothing from it is ever visible. The latencies stand
+in for a real storage engine and are read from the segment's
+``SegmentConfig``: ``begin_latency_ms``, ``commit_fixed_ms`` and
+``commit_per_row_us``.
 """
 
 from __future__ import annotations
@@ -78,27 +81,6 @@ class WireFramer:
             pos = match.end() - 1
             frames.append((True, buf[start + 1:pos]))
         return frames
-
-
-@dataclass(frozen=True)
-class LatencyModel:
-    begin_latency_ms: int = 0
-    commit_fixed_ms: int = 0
-    commit_per_row_us: int = 0
-
-    def __post_init__(self) -> None:
-        if min(self.begin_latency_ms, self.commit_fixed_ms, self.commit_per_row_us) < 0:
-            raise ValueError("latencies must be non-negative")
-
-    @classmethod
-    def from_config(cls, spec: SegmentConfig) -> "LatencyModel":
-        return cls(spec.begin_latency_ms, spec.commit_fixed_ms, spec.commit_per_row_us)
-
-    def begin_s(self) -> float:
-        return self.begin_latency_ms / 1000
-
-    def commit_s(self, rows: int) -> float:
-        return (self.commit_fixed_ms * 1000 + rows * self.commit_per_row_us) / 1_000_000
 
 
 class TxnState(str, Enum):
@@ -180,8 +162,7 @@ class SegmentStore:
     any thread.
     """
 
-    def __init__(self, segment_id: str, dump_path: str | None = None) -> None:
-        self.segment_id = segment_id
+    def __init__(self, dump_path: str | None = None) -> None:
         self._lock = threading.Lock()
         self._runs: list[str] = []
         self._rows = 0
@@ -248,8 +229,7 @@ class SegmentDaemon:
 
     def __init__(self, spec: SegmentConfig, dump_path: str | None = None) -> None:
         self.spec = spec
-        self.latency = LatencyModel.from_config(spec)
-        self.store = SegmentStore(spec.id, dump_path)
+        self.store = SegmentStore(dump_path)
         self.txns: dict[str, SegmentTxn] = {}
         self._server: asyncio.AbstractServer | None = None
         # each open connection's writer and the task serving it
@@ -284,67 +264,51 @@ class SegmentDaemon:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        spec = self.spec
         active: SegmentTxn | None = None
         last_txn = "-"
         self._conns[writer] = asyncio.current_task()
-
-        def reply(text: str) -> None:
-            writer.write(text.encode() + b"\n")
-
         try:
             framer = WireFramer()
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
+            while chunk := await reader.read(65536):
                 for control, data in framer.feed(chunk):
-                    if not control:
-                        if active is not None:
-                            active.rows.add_run(data)
-                            continue
-                        reason = ERR_ORDER if last_txn != "-" else ERR_UNKNOWN
-                        for raw in data.split(b"\n"):
-                            if raw:
-                                reply(f"ERROR {last_txn} {reason}")
-                                await writer.drain()
+                    if not control and active is not None:
+                        active.rows.add_run(data)
                         continue
-                    line = data.decode("utf-8", errors="replace")
-                    if line.startswith("BEGIN "):
-                        parts = line.split(" ")
-                        if len(parts) != 3 or not parts[1] or not parts[2]:
-                            reply(f"ERROR - {ERR_ORDER}")
-                            await writer.drain()
-                            continue
-                        txn_id = parts[1]
-                        if txn_id in self.txns:
-                            reply(f"ERROR {txn_id} {ERR_DUPLICATE}")
-                            await writer.drain()
-                            continue
-                        if active is not None:
-                            reply(f"ERROR {txn_id} {ERR_ORDER}")
-                            await writer.drain()
-                            continue
-                        txn = SegmentTxn(txn_id)
-                        self.txns[txn_id] = txn
-                        active = txn
-                        last_txn = txn_id
-                        await asyncio.sleep(self.latency.begin_s())
-                        reply(f"READY {txn_id}")
-                        await writer.drain()
-                    else:  # EOF
-                        if active is None:
-                            reply(f"ERROR {last_txn} {ERR_ORDER}")
-                            await writer.drain()
-                            continue
-                        txn = active
-                        rows = txn.take_rows()
+                    parts = data.decode("utf-8", errors="replace").split(" ") if control else []
+                    if not control:
+                        reason = ERR_ORDER if last_txn != "-" else ERR_UNKNOWN
+                        strays = sum(1 for raw in data.split(b"\n") if raw)
+                        reply = f"ERROR {last_txn} {reason}\n" * strays
+                    elif data == b"EOF" and active is None:
+                        reply = f"ERROR {last_txn} {ERR_ORDER}\n"
+                    elif data == b"EOF":
+                        rows = active.take_rows()
                         async with self._commit_lock:
-                            await asyncio.sleep(self.latency.commit_s(len(rows)))
-                            self.store.publish(txn.txn_id, rows)
-                        txn.state = TxnState.COMMITTED
+                            await asyncio.sleep(
+                                (spec.commit_fixed_ms * 1000
+                                 + len(rows) * spec.commit_per_row_us) / 1e6)
+                            # active stays set until publish returns, so
+                            # a cancel during the sleep aborts the txn
+                            self.store.publish(active.txn_id, rows)
+                        active.state = TxnState.COMMITTED
+                        reply = f"COMMITTED {active.txn_id} {len(rows)}\n"
                         active = None
-                        reply(f"COMMITTED {txn.txn_id} {len(rows)}")
-                        await writer.drain()
+                    elif len(parts) != 3 or not all(parts):
+                        reply = f"ERROR - {ERR_ORDER}\n"
+                    elif parts[1] in self.txns:
+                        reply = f"ERROR {parts[1]} {ERR_DUPLICATE}\n"
+                    elif active is not None:
+                        reply = f"ERROR {parts[1]} {ERR_ORDER}\n"
+                    else:
+                        last_txn = parts[1]
+                        active = self.txns[last_txn] = SegmentTxn(last_txn)
+                        await asyncio.sleep(spec.begin_latency_ms / 1000)
+                        reply = f"READY {last_txn}\n"
+                    # one write and one drain per frame: a peer that
+                    # vanished stops the handler before the next frame
+                    writer.write(reply.encode())
+                    await writer.drain()
         except (ConnectionError, OSError):
             pass  # peer vanished; the finally block aborts its txn
         finally:

@@ -560,6 +560,8 @@ def render_gantt(trace: SimTrace, bucket_ms: int | None = None, max_width: int =
     ``w`` waiting, ``S`` streaming, ``k`` committing, space when the
     slot does not exist. Deterministic for a given trace.
     """
+    if bucket_ms is not None and bucket_ms < 1:
+        raise ValueError("bucket_ms must be >= 1")
     duration = trace.config.duration_ms * 1000
     if bucket_ms is None:
         bucket_ms = max(1, -(-trace.config.duration_ms // max_width))

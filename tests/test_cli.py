@@ -184,6 +184,15 @@ class TestSimulateAndGantt:
         assert main(["gantt", "--trace", str(trace_path),
                      "--bucket-ms", "200"]) == 0
 
+    def test_zero_gantt_bucket_is_usage_error(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(yaml.safe_dump(dict(self.SCENARIO, duration_ms=500)))
+        trace_path = tmp_path / "trace.json"
+        assert main(["simulate", "--config", str(scenario), "--out", str(trace_path)]) == 0
+        capsys.readouterr()
+        assert main(["gantt", "--trace", str(trace_path), "--bucket-ms", "0"]) == 1
+        assert capsys.readouterr().err == "error: bucket_ms must be >= 1\n"
+
     def test_simulate_without_out_file(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(yaml.safe_dump(dict(self.SCENARIO, duration_ms=500)))
@@ -256,6 +265,13 @@ class TestLoadgen:
         report = json.loads(capsys.readouterr().out)
         assert report["accepted"] == 0
         assert report["transport_errors"] > 0
+
+    @pytest.mark.parametrize("flag, name", [("--devices", "devices"), ("--batch", "batch_lines")])
+    def test_zero_devices_or_batch_is_usage_error(self, capsys, flag, name):
+        code = main(["loadgen", "--target", f"127.0.0.1:{free_port()}",
+                     "--rows", "10", flag, "0"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {name} must be >= 1\n"
 
     def test_posts_synthetic_rows(self, capsys):
         with BackgroundIngest() as bg:

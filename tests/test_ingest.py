@@ -542,6 +542,20 @@ class TestHttpServer:
 
         asyncio.run(go())
 
+    def test_repeated_equal_content_length_accepted(self):
+        async def go():
+            async with server() as (srv, queue, _):
+                c = await Http.connect(srv.bound_port)
+                body = f"{GOOD}\n".encode()
+                status, _, payload = await c.request(
+                    "POST", "/ingest", body, extra_headers=[("Content-Length", f"00{len(body)}")])
+                assert status == 200
+                assert json.loads(payload)["accepted"] == 1
+                assert queue.approx_len() == 1
+                await c.close()
+
+        asyncio.run(go())
+
     def test_bad_request_line_400(self):
         async def go():
             async with server() as (srv, _, _):
@@ -559,6 +573,10 @@ class TestHttpServer:
         [
             pytest.param(_head(b"Content-Length: abc"), 400, id="Content-Length: abc-400"),
             pytest.param(_head(b"Content-Length: -3"), 400, id="Content-Length: -3-400"),
+            # RFC 9112 section 6.3: lengths that differ are a framing error
+            pytest.param(
+                _head(b"Content-Length: 0\r\nContent-Length: 7"), 400, id="Content-Length: 0, 7-400"
+            ),
             # past 4300 digits int() itself refuses the string
             pytest.param(
                 _head(b"Content-Length: " + b"9" * 5000), 413, id="Content-Length-5000-digits-413"

@@ -249,10 +249,18 @@ class TestAgainstLiveListener:
     @pytest.mark.parametrize("reply", [
         pytest.param(b"garbage\r\n\r\n", id="BadStatusLine"),
         pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"acc", id="IncompleteRead"),
+        # well framed, but the body is not the report object
+        pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}", id="empty-object"),
+        pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n[]", id="array"),
+        pytest.param(
+            b"HTTP/1.1 200 OK\r\nContent-Length: 52\r\n\r\n"
+            b'{"accepted": "1", "rejected": 0, "backpressured": 0}', id="string-count"),
+        pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\n\r\n\x80", id="not-utf-8"),
     ])
     def test_a_broken_http_reply_is_a_transport_error(self, reply):
         # http.client raises HTTPException, not OSError, for a reply it
-        # cannot frame: each post counts one error and drops the link
+        # cannot frame, and a body that is not the report is no better:
+        # each post counts one error and drops the link
         with CannedPeer(reply) as peer:
             report = run_loadgen("127.0.0.1", peer.port, rows=30, batch_lines=10)
         assert peer.requests == 3

@@ -28,9 +28,12 @@ def run_script(name, *args):
 def test_idle_cpu_reports_cpu_and_commit_rate():
     stdout = run_script("idle_cpu.py", "--seconds", "0.3")
     values = dict(line.split("=", 1) for line in stdout.splitlines()[1:])
-    assert set(values) == {"cpu_pct", "commits_per_s"}
+    assert set(values) == {
+        "cpu_pct", "commits_per_s", "txns_retained_per_s", "transitions_retained_per_s"}
     assert 0 <= float(values["cpu_pct"]) <= 200
     assert float(values["commits_per_s"]) >= 0
+    assert float(values["txns_retained_per_s"]) >= 0
+    assert float(values["transitions_retained_per_s"]) >= 0
 
 
 def test_row_work_reports_each_side_per_row():

@@ -1,11 +1,10 @@
-"""Segment daemon wire protocol, latency model, and atomic visibility."""
+"""Segment daemon wire protocol, latencies, and atomic visibility."""
 
 import asyncio
 import threading
 import time
 from contextlib import asynccontextmanager
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +13,6 @@ from gateflow.segment import (
     ERR_DUPLICATE,
     ERR_ORDER,
     ERR_UNKNOWN,
-    LatencyModel,
     RowText,
     SegmentDaemon,
     SegmentStore,
@@ -269,6 +267,32 @@ class TestAbort:
                 assert d.store.total_rows == 0
                 assert d.store.txn_rows("gone") == 0
                 assert d.store.visibility_probe("dev0") is None
+
+        asyncio.run(go())
+
+    def test_cancel_during_commit_sleep_aborts(self):
+        async def go():
+            loop = asyncio.get_running_loop()
+            # asyncio logs the cancelled stream handler; keep it quiet
+            loop.set_exception_handler(lambda loop, context: None)
+            async with daemon(commit_fixed_ms=1000) as d:
+                c = await Wire.connect(d.bound_port)
+                await c.send("BEGIN slow ingest")
+                assert await c.recv() == "READY slow"
+                await c.send("dev0,1,1", "dev1,2,2", "EOF")
+                for _ in range(200):
+                    if d._commit_lock.locked():
+                        break
+                    await asyncio.sleep(0.005)
+                assert d._commit_lock.locked()  # the commit is sleeping
+                (task,) = d._conns.values()
+                task.cancel()
+                await asyncio.gather(task, return_exceptions=True)
+                assert d.txns["slow"].state is TxnState.ABORTED
+                assert len(d.txns["slow"].rows) == 0
+                assert d.store.total_rows == 0
+                assert d.store.txn_rows("slow") == 0
+                await c.close()
 
         asyncio.run(go())
 
@@ -579,7 +603,7 @@ class TestRowText:
         rows = RowText()
         for i in range(50):
             rows.add_run("".join(f"dev{j % 4},{i},{j}\n" for j in range(1000)).encode())
-        store = SegmentStore("seg")
+        store = SegmentStore()
         store.publish("big", rows)
         store.publish("few", ["devZ,1,z"])
         assert len(rows.runs) == 50
@@ -622,22 +646,3 @@ class TestCluster:
         asyncio.run(go())
         assert path.read_text().splitlines() == ["d-1,dev0,1,1", "d-1,dev1,2,2"]
 
-
-class TestLatencyModel:
-    def test_arithmetic(self):
-        m = LatencyModel(5, 10, 100)
-        assert m.begin_s() == 0.005
-        assert m.commit_s(0) == 0.010
-        assert m.commit_s(100) == pytest.approx(0.020)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyModel(-1, 0, 0)
-        with pytest.raises(ValueError):
-            LatencyModel(0, 0, -1)
-
-    def test_from_config(self):
-        spec = SegmentConfig(
-            id="x", begin_latency_ms=3, commit_fixed_ms=7, commit_per_row_us=11
-        )
-        assert LatencyModel.from_config(spec) == LatencyModel(3, 7, 11)
