@@ -23,6 +23,9 @@ at once: routing is not done here. The sending slot routes what it
 drains, once per drain, so no row is parsed or encoded again on its
 way to the wire and the producer's next post does not wait on work
 only the sender needs.
+
+``stop`` aborts every open connection, drops any response not yet
+flushed and waits for every handler (see ``listener``).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
+from .listener import Listener
 from .metrics import Counters
 from .pipeline import RowFifo, Run
 from .records import LINE_BREAK, IngestError, Schema, parse_record
@@ -171,7 +175,7 @@ async def _read_head(
         headers.append((name.strip().lower(), value.strip()))
 
 
-class IngestServer:
+class IngestServer(Listener):
     """The HTTP front of a gateway. Every connection feeds the one
     ingestor, on the gateway's event loop; ``ingestors`` lists it."""
 
@@ -183,96 +187,61 @@ class IngestServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        super().__init__(host, port)
         self.counters = counters
         self.ingestors = [LineIngestor(queue, schema)]
-        self.host = host
-        self.port = port
-        self._server: asyncio.AbstractServer | None = None
-        self._conns: set[asyncio.StreamWriter] = set()
         self._conn_count = 0
 
-    @property
-    def bound_port(self) -> int:
-        assert self._server is not None, "server not started"
-        return self._server.sockets[0].getsockname()[1]
-
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(self._serve, self.host, self.port)
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._conns):
-            writer.close()
-        # handlers wake on the closed transport and clean themselves up
-        await asyncio.sleep(0)
-
-    async def _serve(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    async def handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         self._conn_count += 1
-        self._conns.add(writer)
-        try:
-            while True:
-                try:
-                    head = await _read_head(reader)
-                except ValueError:
-                    writer.write(_http_response(400, b"bad request\n", keep_alive=False))
-                    await writer.drain()
-                    break
-                if head is None:
-                    break
-                method, path, headers = head
-                lengths: set[int] = set()
-                keep_alive = True
-                refusal = None
-                for name, value in headers:
-                    if name == "content-length":
-                        if value.isdigit() and value.isascii():
-                            # int() refuses strings past 4300 digits,
-                            # and a length that long is too large anyway
-                            digits = value.lstrip("0")
-                            too_long = len(digits) > len(str(MAX_BODY_BYTES))
-                            lengths.add(MAX_BODY_BYTES + 1 if too_long else int(digits or "0"))
-                        else:
-                            refusal = _http_response(
-                                400, b"bad content-length\n", keep_alive=False)
-                    elif name == "transfer-encoding":
-                        # only Content-Length framing is spoken; reading
-                        # on would take the chunks for the next request
-                        refusal = _http_response(
-                            411, b"content-length required\n", keep_alive=False)
-                    elif name == "connection" and value.lower() == "close":
-                        keep_alive = False
-                if refusal is None and len(lengths) > 1:
-                    # lengths that differ leave the body's end unknown
-                    # (RFC 9112 section 6.3)
-                    refusal = _http_response(
-                        400, b"conflicting content-length\n", keep_alive=False)
-                length = max(lengths, default=0)
-                if refusal is None and length > MAX_BODY_BYTES:
-                    refusal = _http_response(413, b"body too large\n", keep_alive=False)
-                if refusal is not None:
-                    writer.write(refusal)
-                    await writer.drain()
-                    break
-                body = await reader.readexactly(length) if length else b""
-                response = self._route(method, path, body, keep_alive)
-                writer.write(response)
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (asyncio.IncompleteReadError, ConnectionError):
-            pass
-        finally:
-            self._conns.discard(writer)
-            writer.close()
+        while True:
             try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+                head = await _read_head(reader)
+            except ValueError:
+                writer.write(_http_response(400, b"bad request\n", keep_alive=False))
+                await writer.drain()
+                return
+            if head is None:
+                return
+            method, path, headers = head
+            lengths: set[int] = set()
+            keep_alive = True
+            refusal = None
+            for name, value in headers:
+                if name == "content-length":
+                    if value.isdigit() and value.isascii():
+                        # int() refuses strings past 4300 digits,
+                        # and a length that long is too large anyway
+                        digits = value.lstrip("0")
+                        too_long = len(digits) > len(str(MAX_BODY_BYTES))
+                        lengths.add(MAX_BODY_BYTES + 1 if too_long else int(digits or "0"))
+                    else:
+                        refusal = _http_response(
+                            400, b"bad content-length\n", keep_alive=False)
+                elif name == "transfer-encoding":
+                    # only Content-Length framing is spoken; reading
+                    # on would take the chunks for the next request
+                    refusal = _http_response(
+                        411, b"content-length required\n", keep_alive=False)
+                elif name == "connection" and value.lower() == "close":
+                    keep_alive = False
+            if refusal is None and len(lengths) > 1:
+                # lengths that differ leave the body's end unknown
+                # (RFC 9112 section 6.3)
+                refusal = _http_response(
+                    400, b"conflicting content-length\n", keep_alive=False)
+            length = max(lengths, default=0)
+            if refusal is None and length > MAX_BODY_BYTES:
+                refusal = _http_response(413, b"body too large\n", keep_alive=False)
+            if refusal is not None:
+                writer.write(refusal)
+                await writer.drain()
+                return
+            body = await reader.readexactly(length) if length else b""
+            writer.write(self._route(method, path, body, keep_alive))
+            await writer.drain()
+            if not keep_alive:
+                return
 
     def _route(self, method: str, path: str, body: bytes, keep_alive: bool) -> bytes:
         if method == "POST" and path == "/ingest":

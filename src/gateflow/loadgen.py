@@ -76,22 +76,23 @@ class LoadGenerator:
             self._conn = http.client.HTTPConnection(self.host, self.port, timeout=30)
         return self._conn
 
-    def _post(self, body: str) -> dict | None:
-        """The gateway's report on one post, or None after a transport
-        error, which drops the connection. A reply that is not HTTP,
-        or whose body is not an object with integer ``REPORT_KEYS``,
-        is a transport error too."""
+    def _post(self, lines: list[str]) -> dict | None:
+        """The gateway's report on posting ``lines``, or None after a
+        transport error, which drops the connection. A reply that is not
+        HTTP, or not an object of non-negative integer ``REPORT_KEYS``
+        with ``backpressured`` at most ``len(lines)``, is one too."""
         try:
             conn = self._connection()
             # the gateway reads bodies as UTF-8; http.client would
             # encode a str body as Latin-1
-            conn.request(
-                "POST", "/ingest", body.encode(), {"Content-Type": "text/plain"}
-            )
+            body = ("\n".join(lines) + "\n").encode()
+            conn.request("POST", "/ingest", body, {"Content-Type": "text/plain"})
             report = json.loads(conn.getresponse().read())
         except (ConnectionError, OSError, http.client.HTTPException, ValueError):
             report = None  # ValueError: not JSON, or not UTF-8
-        if isinstance(report, dict) and all(type(report.get(k)) is int for k in REPORT_KEYS):
+        if (isinstance(report, dict)
+                and all(type(report.get(k)) is int and report[k] >= 0 for k in REPORT_KEYS)
+                and report["backpressured"] <= len(lines)):
             return report
         self.report.transport_errors += 1
         if self._conn is not None:
@@ -104,8 +105,7 @@ class LoadGenerator:
         pending = lines
         retries = 0
         while pending:
-            body = "\n".join(pending) + "\n"
-            result = self._post(body)
+            result = self._post(pending)
             if result is None:
                 self.report.unresolved += len(pending)
                 return

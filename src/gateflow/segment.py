@@ -23,8 +23,10 @@ when something reads them.
 
 Rows become query-visible atomically when the commit latency elapses,
 never row-by-row; a connection dropped before EOF aborts its
-transaction and nothing from it is ever visible. The latencies stand
-in for a real storage engine and are read from the segment's
+transaction and nothing from it is ever visible. ``stop`` aborts every
+open connection, so their transactions too, drops any reply not yet
+flushed and waits for every handler (see ``listener``). The latencies
+stand in for a real storage engine and are read from the segment's
 ``SegmentConfig``: ``begin_latency_ms``, ``commit_fixed_ms`` and
 ``commit_per_row_us``.
 """
@@ -40,6 +42,7 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from .config import SegmentConfig
+from .listener import Listener
 
 ERR_DUPLICATE = "duplicate-txn"
 ERR_UNKNOWN = "unknown-txn"
@@ -223,51 +226,27 @@ class SegmentStore:
             self._dump = None
 
 
-class SegmentDaemon:
+class SegmentDaemon(Listener):
     """One listening segment. Host several of these in one process to
     emulate a multi-instance deployment on a single node."""
 
     def __init__(self, spec: SegmentConfig, dump_path: str | None = None) -> None:
+        super().__init__(spec.host, spec.port)
         self.spec = spec
         self.store = SegmentStore(dump_path)
         self.txns: dict[str, SegmentTxn] = {}
-        self._server: asyncio.AbstractServer | None = None
-        # each open connection's writer and the task serving it
-        self._conns: dict[asyncio.StreamWriter, asyncio.Task] = {}
         # a segment applies one commit at a time, like a single-writer
         # storage engine; transaction starts stay concurrent
         self._commit_lock = asyncio.Lock()
 
-    @property
-    def bound_port(self) -> int:
-        assert self._server is not None, "daemon not started"
-        return self._server.sockets[0].getsockname()[1]
-
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.spec.host, self.spec.port
-        )
-
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        tasks = list(self._conns.values())
-        for writer in list(self._conns):
-            writer.close()
-        # a handler left running would be cancelled by the loop's
-        # shutdown, which logs a CancelledError traceback per handler
-        await asyncio.gather(*tasks, return_exceptions=True)
+        await super().stop()
         self.store.close()
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    async def handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         spec = self.spec
         active: SegmentTxn | None = None
         last_txn = "-"
-        self._conns[writer] = asyncio.current_task()
         try:
             framer = WireFramer()
             while chunk := await reader.read(65536):
@@ -309,20 +288,12 @@ class SegmentDaemon:
                     # vanished stops the handler before the next frame
                     writer.write(reply.encode())
                     await writer.drain()
-        except (ConnectionError, OSError):
-            pass  # peer vanished; the finally block aborts its txn
         finally:
             if active is not None:
-                # dropped mid-transaction: nothing becomes visible,
-                # and the daemon keeps the txn id but not its rows
+                # dropped or stopped mid-transaction: nothing becomes
+                # visible, and the daemon keeps the txn id but not its rows
                 active.state = TxnState.ABORTED
                 active.rows = RowText()
-            self._conns.pop(writer, None)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
 
 
 async def start_cluster(

@@ -67,17 +67,13 @@ class BackgroundIngest:
     def __exit__(self, *exc):
         async def shutdown():
             await self.srv.stop()
-            others = [
-                t for t in asyncio.all_tasks() if t is not asyncio.current_task()
-            ]
-            for t in others:
-                t.cancel()
-            await asyncio.gather(*others, return_exceptions=True)
+            return asyncio.all_tasks() - {asyncio.current_task()}
 
-        asyncio.run_coroutine_threadsafe(shutdown(), self.loop).result(5)
+        left = asyncio.run_coroutine_threadsafe(shutdown(), self.loop).result(5)
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(5)
         self.loop.close()
+        assert not left, "stop left a connection handler running"
 
 
 class TestArgHandling:

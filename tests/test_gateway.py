@@ -105,6 +105,13 @@ class TestShutdown:
                 status, report = await post_lines(gw.ingest_port, lines_for(range(200)))
                 assert (status, report["accepted"]) == (200, 200)
                 assert await gw.quiesce(timeout_s=20)
+                # a keep-alive client, idle but still connected at stop
+                reader, writer = await asyncio.open_connection("127.0.0.1", gw.ingest_port)
+                writer.write(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                assert (await reader.readline()).startswith(b"HTTP/1.1 200")
+                await gw.stop()
+                assert not gw.ingest._conns  # its handler has ended
+            writer.close()
             # and no tick is left pending or armed to fire after stop
             loop = asyncio.get_running_loop()
             assert not [

@@ -3,6 +3,7 @@
 import asyncio
 import json
 import re
+import socket
 import time
 from contextlib import asynccontextmanager
 from typing import NamedTuple
@@ -22,6 +23,7 @@ from gateflow.metrics import COUNTER_KEYS, Counters
 from gateflow.pipeline import EnqueueResult, LockFreeQueue, RowFifo, Run
 from gateflow.records import IngestError, Record, Schema, parse_record
 from gateflow.slot import route_record
+from stuck_peer import stops_within, unread_flood, until_a_reply_is_stuck
 
 SCHEMA = Schema.parse_spec("value:float")
 
@@ -608,6 +610,54 @@ class TestHttpServer:
                 assert c.reader.at_eof()
                 assert queue.approx_len() == 0
                 await c.close()
+
+        asyncio.run(go())
+
+
+class TestShutdown:
+    def test_stop_ends_every_handler(self):
+        async def go():
+            srv = IngestServer(RowFifo(None), SCHEMA, Counters())
+            await srv.start()
+            idle = await Http.connect(srv.bound_port)
+            assert (await idle.request("GET", "/healthz"))[0] == 200
+            # pipelined requests whose 13 MB of responses the peer
+            # never reads: more than the kernel buffers take
+            flood = await unread_flood(
+                srv.bound_port, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n" * 150_000)
+            try:
+                await until_a_reply_is_stuck(srv)
+                assert await stops_within(srv, 5)
+                assert asyncio.all_tasks() == {asyncio.current_task()}
+            finally:
+                flood.transport.abort()
+                await idle.close()
+
+        asyncio.run(go())
+
+    def test_a_connection_accepted_as_stop_begins_is_hung_up(self):
+        def handlers():
+            return [t for t in asyncio.all_tasks() if t.get_coro().__qualname__ == "Listener._serve"]
+
+        async def go():
+            srv = IngestServer(RowFifo(None), SCHEMA, Counters())
+            await srv.start()
+            # the kernel completes the handshake before the loop accepts
+            sock = socket.create_connection(("127.0.0.1", srv.bound_port))
+            try:
+                for _ in range(100):  # until the handler exists but has not run
+                    if handlers():
+                        break
+                    await asyncio.sleep(0)
+                assert handlers() and not srv._conns
+                await srv.stop()
+                for _ in range(100):
+                    if not handlers():
+                        break
+                    await asyncio.sleep(0.01)
+                assert not handlers()
+            finally:
+                sock.close()
 
         asyncio.run(go())
 

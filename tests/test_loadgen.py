@@ -34,7 +34,7 @@ class BackgroundIngest:
     def __enter__(self):
         self.loop = asyncio.new_event_loop()
         ready = threading.Event()
-        holder = {}
+        holder = self.holder = {}
 
         def run():
             asyncio.set_event_loop(self.loop)
@@ -68,17 +68,17 @@ class BackgroundIngest:
     def __exit__(self, *exc):
         async def shutdown():
             await self.srv.stop()
-            others = [
-                t for t in asyncio.all_tasks() if t is not asyncio.current_task()
-            ]
-            for t in others:
-                t.cancel()
-            await asyncio.gather(*others, return_exceptions=True)
+            drain = self.holder.get("drain")
+            if drain is not None:
+                drain.cancel()
+                await asyncio.gather(drain, return_exceptions=True)
+            return asyncio.all_tasks() - {asyncio.current_task()}
 
-        asyncio.run_coroutine_threadsafe(shutdown(), self.loop).result(5)
+        left = asyncio.run_coroutine_threadsafe(shutdown(), self.loop).result(5)
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(5)
         self.loop.close()
+        assert not left, "stop left a connection handler running"
 
 
 class CannedPeer:
@@ -256,6 +256,13 @@ class TestAgainstLiveListener:
             b"HTTP/1.1 200 OK\r\nContent-Length: 52\r\n\r\n"
             b'{"accepted": "1", "rejected": 0, "backpressured": 0}', id="string-count"),
         pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: 1\r\n\r\n\x80", id="not-utf-8"),
+        # well typed, but out of range for a 10-line post
+        pytest.param(
+            b"HTTP/1.1 200 OK\r\nContent-Length: 51\r\n\r\n"
+            b'{"accepted": 0, "rejected": 0, "backpressured": -5}', id="negative-count"),
+        pytest.param(
+            b"HTTP/1.1 200 OK\r\nContent-Length: 51\r\n\r\n"
+            b'{"accepted": 0, "rejected": 0, "backpressured": 50}', id="backpressured-past-post"),
     ])
     def test_a_broken_http_reply_is_a_transport_error(self, reply):
         # http.client raises HTTPException, not OSError, for a reply it

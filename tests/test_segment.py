@@ -20,6 +20,7 @@ from gateflow.segment import (
     WireFramer,
     start_cluster,
 )
+from stuck_peer import stops_within, unread_flood, until_a_reply_is_stuck
 
 
 class Wire:
@@ -297,6 +298,23 @@ class TestAbort:
         asyncio.run(go())
 
 
+class TestShutdown:
+    def test_stop_does_not_wait_on_a_peer_that_never_reads(self):
+        async def go():
+            d = SegmentDaemon(SegmentConfig(id="seg", port=0))
+            await d.start()
+            # every stray row gets an ERROR reply the peer never reads
+            flood = await unread_flood(d.bound_port, b"stray\n" * 200_000)
+            try:
+                await until_a_reply_is_stuck(d)
+                assert await stops_within(d, 5)
+                assert asyncio.all_tasks() == {asyncio.current_task()}
+            finally:
+                flood.transport.abort()
+
+        asyncio.run(go())
+
+
 class TestLatencyEnforcement:
     def test_ready_waits_for_begin_latency(self):
         async def go():
@@ -562,7 +580,7 @@ class TestWireFraming:
         stream, reads = case
         d = SegmentDaemon(SegmentConfig(id="seg", port=0))
         writer = RecordingWriter()
-        asyncio.run(d._serve_connection(ScriptedReader(reads), writer))
+        asyncio.run(d._serve(ScriptedReader(reads), writer))
         replies, committed, states = line_at_a_time(stream)
         assert writer.out.decode().split("\n")[:-1] == replies
         assert d.store.committed_lines() == committed
