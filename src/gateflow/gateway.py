@@ -36,7 +36,7 @@ from operator import itemgetter, mod
 from zlib import crc32
 
 from .config import GatewayConfig
-from .ingest import IngestServer, monotonic_us
+from .ingest import IngestServer
 from .metrics import Counters
 from .pipeline import RowFifo, Run
 from .scheduler import (
@@ -48,7 +48,7 @@ from .scheduler import (
     next_deadline,
     tick,
 )
-from .slot import Initiator, Slot, SlotPhase, Transition, make_txn_id
+from .slot import Initiator, Slot, Transition, make_txn_id, send_spans
 # not called here: the benchmark's tracer patches this name until it
 # moves to stable seams
 from .slot import route_record  # noqa: F401
@@ -186,7 +186,6 @@ class SlotRunner:
         timer outlives the call, even when it is cancelled."""
         loop = asyncio.get_running_loop()
         self._parked = parked = loop.create_future()
-        # gateway.now() and the loop's time read the same monotonic clock
         timer = None if until_us is None else loop.call_at(until_us / 1_000_000, self.wake)
         try:
             await parked
@@ -336,7 +335,9 @@ class Gateway:
         self._running = False
 
     def now(self) -> int:
-        return monotonic_us()
+        """The running loop's clock in microseconds, the one that
+        ``park`` and the tick's timer schedule on."""
+        return round(asyncio.get_running_loop().time() * 1_000_000)
 
     @property
     def ingest_port(self) -> int:
@@ -424,7 +425,6 @@ class Gateway:
                 self.runners[action.slot_id].wake()
         due = next_deadline(self.state, now, nonempty)
         if due is not None:
-            # self.now() and the loop's time read the same monotonic clock
             self._tick_timer = asyncio.get_running_loop().call_at(due / 1_000_000, self._tick)
 
     def _activate(self, now: int) -> None:
@@ -466,13 +466,6 @@ class Gateway:
 
     def send_spans(self) -> list[tuple[int, int, int]]:
         """(slot_id, start, end) for every completed send window."""
-        spans = []
-        for slot in self.audit_slots:
-            start: int | None = None
-            for tr in slot.history:
-                if tr.dst is SlotPhase.SEND:
-                    start = tr.at
-                elif start is not None:
-                    spans.append((slot.slot_id, start, tr.at))
-                    start = None
-        return spans
+        return send_spans(
+            (slot.slot_id, tr.at, tr.dst) for slot in self.audit_slots for tr in slot.history
+        )

@@ -1,13 +1,15 @@
 """The TCP server lifecycle ``IngestServer`` and ``SegmentDaemon`` share.
 
-Each accepted connection runs the subclass's ``handle`` in a task of
-its own. A peer that vanishes (an end of stream mid-read, a reset, any
-socket error) ends it quietly, and the writer is closed however it ends.
+Each connection runs the subclass's ``handle`` in a task of its own,
+made and registered as the connection is made. A peer that vanishes
+(an end of stream mid-read, a reset, any socket error) ends it quietly,
+and the writer is closed however it ends.
 
 ``stop`` closes the listening socket, aborts every open connection,
 dropping any reply not yet flushed, and waits for every handler. Abort,
 not close: a close waits for the send buffer to flush, so a peer that
-stops reading would hold shutdown forever.
+stops reading would hold shutdown forever. A connection made once
+``stop`` has begun is aborted at once and gets no handler.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class Listener:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(self._serve, self.host, self.port)
+        self._server = await asyncio.start_server(self._accept, self.host, self.port)
 
     async def stop(self) -> None:
         if self._server is not None:
@@ -42,10 +44,15 @@ class Listener:
         if self._server is not None:
             await self._server.wait_closed()  # from 3.12 it waits for connections
 
-    async def _serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        # registered as the connection is made, so stop waits for a
+        # handler that has not run yet too
         if self._server is not None and not self._server.is_serving():
-            writer.transport.abort()  # accepted as stop began: handle reads an end
-        self._conns[writer] = asyncio.current_task()
+            writer.transport.abort()  # made after stop began
+            return
+        self._conns[writer] = asyncio.create_task(self._serve(reader, writer))
+
+    async def _serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         try:
             await self.handle(reader, writer)
         except (asyncio.IncompleteReadError, OSError):
@@ -57,4 +64,4 @@ class Listener:
             except OSError:
                 pass
             finally:  # registered until closed, so stop waits for the close too
-                del self._conns[writer]
+                self._conns.pop(writer, None)

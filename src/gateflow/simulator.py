@@ -28,7 +28,7 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any
+from typing import Any, Callable
 
 from .config import known_keys, require
 from .scheduler import (
@@ -42,18 +42,12 @@ from .scheduler import (
     TimingParams,
     logged_tick,
 )
-from .slot import SlotPhase
+from .slot import SlotPhase, send_spans
 
 _URQ = 1_000_000  # micro-rows per row: arrival integration unit
 
-# event kinds, processed in (time, seq) order
-_TICK = 0
-_CONNECT_DONE = 1
-_READY_AFTER_DISPATCH = 2  # naive only: txn opened, streaming starts
-_SEND_END = 3
-_COMMIT_DONE = 4
-_RATE_CHANGE = 5
-_SEED = 6  # forced activation of a pre-warmed pool
+# what each event kind does to the live pool's size
+_POOL_DELTA = {"activated": 1, "retired": -1}
 
 
 def tick_interval_us(t_d_us: int) -> int:
@@ -223,14 +217,7 @@ class SimTrace:
 
     def send_spans(self) -> list[tuple[int, int, int]]:
         """(slot_id, start, end) of every completed streaming window."""
-        spans = []
-        open_at: dict[int, int] = {}
-        for e in self.events:
-            if e.kind == "send_start":
-                open_at[e.slot_id] = e.t
-            elif e.kind == "send_end" and e.slot_id in open_at:
-                spans.append((e.slot_id, open_at.pop(e.slot_id), e.t))
-        return spans
+        return send_spans(slot_phases(self.events))
 
 
 @dataclass
@@ -264,7 +251,8 @@ class _Sim:
         self.state = SchedulerState(params, log=self.log)
         self.trace = SimTrace(config=config, decision_log=self.log)
         self.slots: dict[int, _SimSlot] = {}
-        self.heap: list[tuple[int, int, int, int]] = []
+        # (t, seq, handler, slot_id): run as handler(t, slot_id)
+        self.heap: list[tuple[int, int, Callable[[int, int], None], int]] = []
         self.seq = 0
         self.rng = random.Random(config.seed)
         # arrival integration state
@@ -279,9 +267,9 @@ class _Sim:
 
     # -- event plumbing ----------------------------------------------
 
-    def push(self, t: int, kind: int, slot_id: int = 0) -> None:
+    def push(self, t: int, handler: Callable[[int, int], None], slot_id: int = 0) -> None:
         self.seq += 1
-        heapq.heappush(self.heap, (t, self.seq, kind, slot_id))
+        heapq.heappush(self.heap, (t, self.seq, handler, slot_id))
 
     def emit(self, t: int, kind: str, slot_id: int = 0, detail: int = 0, reason: str = "") -> None:
         self.trace.events.append(TraceEvent(t, kind, slot_id, detail, reason))
@@ -318,40 +306,28 @@ class _Sim:
 
     def run(self) -> SimTrace:
         for at_ms, _ in self.schedule:
-            self.push(at_ms * 1000, _RATE_CHANGE)
+            self.push(at_ms * 1000, self.on_rate_change)
         for k in range(self.config.initial_slots):
-            self.push(k * self.t_d, _SEED)
-        self.push(0, _TICK)
+            # a pre-warmed pool's slots are activated by force
+            self.push(k * self.t_d, self.apply_activate)
+        self.push(0, self.on_tick)
 
         while self.heap:
-            t, _, kind, slot_id = heapq.heappop(self.heap)
+            t, _, handler, slot_id = heapq.heappop(self.heap)
             if t > self.duration:
                 break
-            if kind == _TICK:
-                self.on_tick(t)
-            elif kind == _RATE_CHANGE:
-                self.on_rate_change(t)
-            elif kind == _CONNECT_DONE:
-                self.on_connect_done(t, slot_id)
-            elif kind == _READY_AFTER_DISPATCH:
-                self.on_ready_after_dispatch(t, slot_id)
-            elif kind == _SEND_END:
-                self.on_send_end(t, slot_id)
-            elif kind == _COMMIT_DONE:
-                self.on_commit_done(t, slot_id)
-            elif kind == _SEED:
-                self.apply_activate(t)
+            handler(t, slot_id)
 
         self.finish()
         return self.trace
 
-    def on_rate_change(self, now: int) -> None:
+    def on_rate_change(self, now: int, _: int = 0) -> None:
         self.materialize(now)
         while self.schedule and self.schedule[0][0] * 1000 <= now:
             _, self.rate = self.schedule.pop(0)
         self.emit(now, "rate", 0, self.rate)
 
-    def on_tick(self, now: int) -> None:
+    def on_tick(self, now: int, _: int = 0) -> None:
         self.materialize(now)
         nonempty = self.backlog > 0
         actions = logged_tick(self.state, now, nonempty)
@@ -366,15 +342,15 @@ class _Sim:
             self.trace.starved_ticks.append(now)
         nxt = now + self.tick_us
         if nxt <= self.duration:
-            self.push(nxt, _TICK)
+            self.push(nxt, self.on_tick)
 
-    def apply_activate(self, now: int) -> None:
+    def apply_activate(self, now: int, _: int = 0) -> None:
         sid = self.state.note_activated(now)
         slot = _SimSlot(sid, connect_started_at=now)
         self.slots[sid] = slot
         self.emit(now, "activated", sid)
         if self.gate:
-            self.push(now + self.t_s, _CONNECT_DONE, sid)
+            self.push(now + self.t_s, self.on_connect_done, sid)
         else:
             self.state.note_ready(sid, now)
             self.emit(now, "ready", sid)
@@ -387,7 +363,8 @@ class _Sim:
         if self.gate:
             self.start_streaming(now, slot)
         else:
-            self.push(now + self.t_s, _READY_AFTER_DISPATCH, sid)
+            # naive: the transaction opens now, then streaming starts
+            self.push(now + self.t_s, self.on_ready_after_dispatch, sid)
 
     def start_streaming(self, now: int, slot: _SimSlot) -> None:
         self.materialize(now)
@@ -396,7 +373,7 @@ class _Sim:
         slot.send_started_at = now
         self.drainer = slot.slot_id
         self.emit(now, "send_start", slot.slot_id)
-        self.push(now + self.t_d, _SEND_END, slot.slot_id)
+        self.push(now + self.t_d, self.on_send_end, slot.slot_id)
 
     def apply_abort(self, now: int, action: AbortSlot) -> None:
         # tick has already marked or retired the slot in the state
@@ -444,7 +421,7 @@ class _Sim:
             return
         if marked:
             self.emit(now, "mark_cancelled", sid)
-        self.push(now + self.commit_us(rows), _COMMIT_DONE, sid)
+        self.push(now + self.commit_us(rows), self.on_commit_done, sid)
 
     def on_commit_done(self, now: int, sid: int) -> None:
         slot = self.slots.get(sid)
@@ -471,7 +448,7 @@ class _Sim:
         if self.gate:
             slot.connect_started_at = now
             self.emit(now, "reconnect", sid)
-            self.push(now + self.t_s, _CONNECT_DONE, sid)
+            self.push(now + self.t_s, self.on_connect_done, sid)
         else:
             self.state.note_ready(sid, now)
             self.emit(now, "ready", sid)
@@ -481,21 +458,15 @@ class _Sim:
         trace.arrived_rows = self.arrived
         trace.committed_rows = self.committed
         trace.final_slots = len(self.slots)
-        # live-pool size sampled at every interval boundary
-        deltas: dict[int, int] = {}
+        # live-pool size at every interval boundary, counting the events
+        # at the boundary itself; the events are in time order
+        count = k = 0
         for e in trace.events:
-            if e.kind == "activated":
-                deltas[e.t] = deltas.get(e.t, 0) + 1
-            elif e.kind == "retired":
-                deltas[e.t] = deltas.get(e.t, 0) - 1
-        times = sorted(deltas)
-        count = 0
-        idx = 0
-        for k in range(self.duration // self.t_d + 1):
-            boundary = k * self.t_d
-            while idx < len(times) and times[idx] <= boundary:
-                count += deltas[times[idx]]
-                idx += 1
+            while k * self.t_d < e.t:
+                trace.interval_slots.append((k, count))
+                k += 1
+            count += _POOL_DELTA.get(e.kind, 0)
+        for k in range(k, self.duration // self.t_d + 1):
             trace.interval_slots.append((k, count))
 
 
@@ -553,12 +524,48 @@ _GANTT_CHARS = {
 }
 
 
+# the phase each event kind starts, None for retirement; the other
+# kinds start none. Marks of one slot at one instant collapse to the
+# last, so a gate slot's dispatched -> send_start reads SEND and a
+# naive slot's activated -> ready reads WAIT. A naive slot's dispatch
+# opens its transaction, so it reads CONNECT until it streams.
+_PHASE_OF: dict[str, SlotPhase | None] = {
+    "activated": SlotPhase.CONNECT,
+    "reconnect": SlotPhase.CONNECT,
+    "ready": SlotPhase.WAIT,
+    "dispatched": SlotPhase.CONNECT,
+    "send_start": SlotPhase.SEND,
+    "send_end": SlotPhase.COMMIT,
+    "retired": None,
+}
+
+
+def slot_phases(events: list[TraceEvent]) -> list[tuple[int, int, SlotPhase | None]]:
+    """The (slot_id, t, phase) marks of ``events``, in time order: one
+    per phase entered, through ``_PHASE_OF``, and where a slot has
+    several at one instant, only the last."""
+    marks: list[tuple[int, int, SlotPhase | None]] = []
+    latest: dict[int, int] = {}  # slot -> index of its latest mark
+    for e in events:
+        if e.kind not in _PHASE_OF:
+            continue
+        mark = (e.slot_id, e.t, _PHASE_OF[e.kind])
+        i = latest.get(e.slot_id)
+        if i is not None and marks[i][1] == e.t:
+            marks[i] = mark
+        else:
+            latest[e.slot_id] = len(marks)
+            marks.append(mark)
+    return marks
+
+
 def render_gantt(trace: SimTrace, bucket_ms: int | None = None, max_width: int = 120) -> str:
     """Character timeline of every slot's phases.
 
     One row per slot, one column per time bucket: ``c`` connecting,
     ``w`` waiting, ``S`` streaming, ``k`` committing, space when the
-    slot does not exist. Deterministic for a given trace.
+    slot does not exist, each column the phase ``slot_phases`` gives
+    at its start. Deterministic for a given trace.
     """
     if bucket_ms is not None and bucket_ms < 1:
         raise ValueError("bucket_ms must be >= 1")
@@ -568,50 +575,18 @@ def render_gantt(trace: SimTrace, bucket_ms: int | None = None, max_width: int =
     bucket = bucket_ms * 1000
     columns = -(-duration // bucket)
 
-    # phase segments per slot from the event stream
-    segments: dict[int, list[tuple[int, SlotPhase | None]]] = {}
-
-    def mark(slot_id: int, t: int, phase: SlotPhase | None) -> None:
-        segments.setdefault(slot_id, []).append((t, phase))
-
-    for e in trace.events:
-        if e.kind == "activated":
-            start_phase = (
-                SlotPhase.CONNECT if trace.config.strategy is Strategy.GATE else SlotPhase.WAIT
-            )
-            mark(e.slot_id, e.t, start_phase)
-        elif e.kind == "ready":
-            mark(e.slot_id, e.t, SlotPhase.WAIT)
-        elif e.kind == "dispatched":
-            # a naive slot opens its transaction before streaming
-            phase = SlotPhase.SEND if trace.config.strategy is Strategy.GATE else SlotPhase.CONNECT
-            mark(e.slot_id, e.t, phase)
-        elif e.kind == "send_start":
-            mark(e.slot_id, e.t, SlotPhase.SEND)
-        elif e.kind == "send_end":
-            mark(e.slot_id, e.t, SlotPhase.COMMIT)
-        elif e.kind == "reconnect":
-            mark(e.slot_id, e.t, SlotPhase.CONNECT)
-        elif e.kind == "retired":
-            mark(e.slot_id, e.t, None)
-
+    # a mark paints every column that starts at or after it, so each
+    # column shows the last mark at or before its start
+    rows: dict[int, list[str]] = {}
+    for slot_id, t, phase in slot_phases(trace.events):
+        row = rows.setdefault(slot_id, [" "] * columns)
+        first = -(-t // bucket)
+        row[first:] = _GANTT_CHARS.get(phase, " ") * (columns - first)
     lines = [
         f"slots over {trace.config.duration_ms} ms, one column = {bucket // 1000} ms "
         f"(c connect, w wait, S send, k commit)"
     ]
-    for slot_id in sorted(segments):
-        segs = segments[slot_id]
-        row = []
-        for col in range(columns):
-            t = col * bucket
-            phase: SlotPhase | None = None
-            for at, ph in segs:
-                if at <= t:
-                    phase = ph
-                else:
-                    break
-            row.append(_GANTT_CHARS.get(phase, " ") if phase else " ")
-        lines.append(f"slot {slot_id:>3} |{''.join(row)}|")
+    lines.extend(f"slot {slot_id:>3} |{''.join(rows[slot_id])}|" for slot_id in sorted(rows))
     if len(lines) == 1:
         lines.append("(no slots)")
     return "\n".join(lines)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterable
 from zlib import crc32
 
 
@@ -97,6 +98,22 @@ class Slot:
     @property
     def retired(self) -> bool:
         return self.phase is SlotPhase.RETIRED
+
+
+def send_spans(marks: Iterable[tuple[int, int, SlotPhase | None]]) -> list[tuple[int, int, int]]:
+    """(slot_id, start, end) of every send window in ``marks``, the
+    (slot_id, at, phase) each slot entered, in time order per slot:
+    each SEND mark up to the next mark of the same slot, a COMMIT or,
+    on a failure, RETIRED. A SEND with no next mark is still open."""
+    spans = []
+    open_at: dict[int, int] = {}
+    for slot_id, at, phase in marks:
+        start = open_at.pop(slot_id, None)
+        if start is not None:
+            spans.append((slot_id, start, at))
+        if phase is SlotPhase.SEND:
+            open_at[slot_id] = at
+    return spans
 
 
 def route_record(device_id: str, segment_count: int) -> int:

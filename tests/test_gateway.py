@@ -482,6 +482,40 @@ class TestPark:
         asyncio.run(go())
 
 
+class TestClock:
+    @pytest.mark.parametrize("offset_s", [-600, 600])
+    def test_the_gateway_runs_on_its_loop_clock(self, offset_s):
+        # a loop whose clock is not time.monotonic(): the gateway's
+        # stamps and the timers it sets must read the same clock, or a
+        # window's deadline is never reached (behind) or always passed
+        # (ahead), and the tick busy-loops
+        class ShiftedLoop(asyncio.SelectorEventLoop):
+            def time(self):
+                return super().time() + offset_s
+
+        ticks = 0
+        tick = Gateway._tick
+
+        def counted_tick(gw):
+            nonlocal ticks
+            ticks += 1
+            tick(gw)
+
+        async def go():
+            async with live_gateway(n_segments=1) as (gw, _):
+                status, report = await post_lines(gw.ingest_port, lines_for(range(10)))
+                assert (status, report["accepted"]) == (200, 10)
+                assert await gw.quiesce(timeout_s=3)
+
+        loop = ShiftedLoop()
+        try:
+            with mock.patch.object(Gateway, "_tick", counted_tick):
+                loop.run_until_complete(go())
+        finally:
+            loop.close()
+        assert ticks < 100
+
+
 class TestWakeOnPost:
     def test_a_post_reaches_the_open_window_at_once(self):
         # the sender parks on an empty queue until its window ends; the
@@ -804,7 +838,11 @@ class TestRetainedBatch:
 
         error = ConnectionResetError("segment seg0: link lost during send")
         runner._fail()
-        gw.runner_done(runner, error)  # the task's exit, which retires the slot
+
+        async def exit_task():  # the task's exit, which retires the slot
+            gw.runner_done(runner, error)
+
+        asyncio.run(exit_task())
 
         requeued = gw.queue.drain_up_to(100)
         assert requeued[-1] is later

@@ -645,19 +645,27 @@ class TestShutdown:
             # the kernel completes the handshake before the loop accepts
             sock = socket.create_connection(("127.0.0.1", srv.bound_port))
             try:
-                for _ in range(100):  # until the handler exists but has not run
+                for _ in range(100):  # until the handler exists
                     if handlers():
                         break
                     await asyncio.sleep(0)
-                assert handlers() and not srv._conns
+                assert handlers()
                 await srv.stop()
-                for _ in range(100):
-                    if not handlers():
-                        break
-                    await asyncio.sleep(0.01)
                 assert not handlers()
             finally:
                 sock.close()
+
+        asyncio.run(go())
+
+    def test_a_connection_made_after_stop_began_gets_no_handler(self):
+        async def go():
+            srv = IngestServer(RowFifo(None), SCHEMA, Counters())
+            await srv.start()
+            await srv.stop()
+            writer = mock.Mock()
+            srv._accept(asyncio.StreamReader(), writer)
+            writer.transport.abort.assert_called_once_with()
+            assert not srv._conns and asyncio.all_tasks() == {asyncio.current_task()}
 
         asyncio.run(go())
 

@@ -2,6 +2,7 @@
 flow-step adaptations, drain and loss-safety behavior, strategy
 comparison, timeline rendering, and decision replay."""
 
+import hashlib
 import random
 from collections import Counter
 
@@ -21,10 +22,13 @@ from gateflow.scheduler import (
 from gateflow.simulator import (
     SimConfig,
     SimTrace,
+    TraceEvent,
     compare_strategies,
     render_gantt,
     run_sim,
+    slot_phases,
 )
+from gateflow.slot import SlotPhase
 
 HEADLINE = dict(t_d_ms=100, t_s_ms=50, commit_fixed_ms=150, tick_ms=1)
 
@@ -345,6 +349,24 @@ class TestGantt:
         trace = SimTrace(config=SimConfig())
         assert "(no slots)" in render_gantt(trace)
 
+    def test_the_last_mark_of_an_instant_wins(self):
+        events = [
+            TraceEvent(0, "activated", 1),
+            TraceEvent(0, "ready", 2),  # another slot between two marks of slot 1
+            TraceEvent(0, "ready", 1),
+            TraceEvent(5, "dispatched", 1),
+            TraceEvent(5, "rate", 0, 100),  # not a phase
+            TraceEvent(5, "send_start", 1),
+            TraceEvent(9, "send_end", 1, 3),
+            TraceEvent(9, "retired", 1),
+        ]
+        assert slot_phases(events) == [
+            (1, 0, SlotPhase.WAIT),
+            (2, 0, SlotPhase.WAIT),
+            (1, 5, SlotPhase.SEND),
+            (1, 9, None),
+        ]
+
 
 class TestDecisionReplayParity:
     def test_sim_decisions_replay_identically(self):
@@ -415,6 +437,20 @@ class TestPinnedDecisions:
             kinds.update(f"retired:{e.reason}" for e in trace.events if e.kind == "retired")
         assert kinds["marked"] and kinds["mark_cancelled"]
         assert kinds[f"retired:{ABORT_IDLE_WAIT}"] and kinds[f"retired:{ABORT_NO_DATA_CYCLE}"]
+
+
+class TestPinnedRendering:
+    def test_gantt_and_send_spans_match_pinned_digest(self):
+        # the timelines and send windows of both strategies, with and
+        # without Poisson arrivals, at three column widths
+        parts = []
+        for strategy in ("gate", "naive"):
+            for poisson in (False, True):
+                trace = pinned_grid_trace(strategy, poisson, 200)
+                parts.extend(render_gantt(trace, bucket_ms=ms) for ms in (1, 7, 50))
+                parts.append(repr(sorted(trace.send_spans())))
+        digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+        assert digest == "f3417ae5488c45f5b0086e4a516d8648b7bfbb170df657b4bbe58fe43ffa3e9f"
 
 
 class TestDeadlinesCoverTheGrid:

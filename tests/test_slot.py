@@ -1,5 +1,5 @@
 """Slot state machine: edge legality, initiator rules, the cycle count,
-and the deterministic device routing rule."""
+the send-span rule, and the deterministic device routing rule."""
 
 from zlib import crc32
 
@@ -15,6 +15,7 @@ from gateflow.slot import (
     SlotPhase,
     make_txn_id,
     route_record,
+    send_spans,
 )
 
 
@@ -103,6 +104,31 @@ def test_random_walk_matches_table(steps):
         else:
             assert legal
             assert s.phase is dst
+
+
+class TestSendSpans:
+    def test_send_then_commit_is_a_span(self):
+        marks = [(1, 0, SlotPhase.WAIT), (1, 10, SlotPhase.SEND), (1, 30, SlotPhase.COMMIT)]
+        assert send_spans(marks) == [(1, 10, 30)]
+
+    def test_a_trailing_send_is_still_open(self):
+        assert send_spans([(1, 0, SlotPhase.WAIT), (1, 10, SlotPhase.SEND)]) == []
+
+    def test_send_then_retired_is_a_span(self):
+        # a failure mid-send ends the window too
+        assert send_spans([(1, 10, SlotPhase.SEND), (1, 25, SlotPhase.RETIRED)]) == [(1, 10, 25)]
+        assert send_spans([(1, 10, SlotPhase.SEND), (1, 25, None)]) == [(1, 10, 25)]
+
+    def test_interleaved_slots_give_one_span_each(self):
+        marks = [
+            (1, 0, SlotPhase.SEND),
+            (2, 5, SlotPhase.WAIT),
+            (1, 10, SlotPhase.COMMIT),
+            (2, 10, SlotPhase.SEND),
+            (1, 15, SlotPhase.CONNECT),
+            (2, 20, SlotPhase.COMMIT),
+        ]
+        assert send_spans(marks) == [(1, 0, 10), (2, 10, 20)]
 
 
 class TestRouting:
