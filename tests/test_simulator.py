@@ -418,6 +418,49 @@ def pinned_grid_trace(strategy, poisson, cycle_ms):
     )
 
 
+# the second grid covers t_s > t_d, the regime the first one cannot
+# reach: begin takes 1.2 and 2.4 intervals, and a rate step up and back
+# down moves the pool's formula size from 3 to 5-6 and back
+PINNED_DIGESTS_TS_OVER_TD = {
+    (60, False): "efb56cd00f31b7c4cf4d8202799c4c36434305a7709e6a6b82777ab6e43dba9d",
+    (60, True): "40260b6c951fe210f642f0dec5cbbac9479ad040da5106a2a46a13e99aedb04c",
+    (120, False): "539186fb76d4aff06411a663f7f52c7b2c304db9bc0e2ceee57fecef45719164",
+    (120, True): "92b2530402ff56df9218d7bbdde4fa5dfd16c7464b66b281526c13b30728e8fc",
+}
+
+
+def ts_over_td_grid_trace(t_s_ms, poisson):
+    return run_sim(
+        SimConfig(
+            t_d_ms=50,
+            t_s_ms=t_s_ms,
+            commit_fixed_ms=20,
+            commit_per_row_us=200,
+            tick_ms=1,
+            arrival=((0, 500), (1000, 8000), (2000, 500)),
+            duration_ms=4000,
+            poisson=poisson,
+            seed=3,
+        )
+    )
+
+
+def grid_runs():
+    """(cell, trace, params) of every cell of both pinned grids."""
+    for strategy, poisson, cycle_ms in PINNED_DIGESTS:
+        yield (
+            (strategy, poisson, cycle_ms),
+            pinned_grid_trace(strategy, poisson, cycle_ms),
+            TimingParams(t_d_us=100 * 1000, dispatch_cycle_us=cycle_ms * 1000),
+        )
+    for t_s_ms, poisson in PINNED_DIGESTS_TS_OVER_TD:
+        yield (
+            (t_s_ms, poisson),
+            ts_over_td_grid_trace(t_s_ms, poisson),
+            TimingParams(t_d_us=50 * 1000),
+        )
+
+
 class TestSimConfigKeys:
     def test_unknown_keys_named(self):
         with pytest.raises(ValueError, match=r"unknown scenario keys: \['typo_key'\]"):
@@ -437,6 +480,16 @@ class TestPinnedDecisions:
             kinds.update(f"retired:{e.reason}" for e in trace.events if e.kind == "retired")
         assert kinds["marked"] and kinds["mark_cancelled"]
         assert kinds[f"retired:{ABORT_IDLE_WAIT}"] and kinds[f"retired:{ABORT_NO_DATA_CYCLE}"]
+
+    def test_ts_over_td_grid_traces_match_pinned_digests(self):
+        retired = Counter()
+        for (t_s_ms, poisson), digest in PINNED_DIGESTS_TS_OVER_TD.items():
+            trace = ts_over_td_grid_trace(t_s_ms, poisson)
+            assert trace.digest() == digest, (t_s_ms, poisson)
+            trace.decision_log.replay(TimingParams(t_d_us=50 * 1000))
+            retired.update(e.reason for e in trace.events if e.kind == "retired")
+        # rule 5 still trims here: the formula size moves with the rate
+        assert retired[ABORT_IDLE_WAIT]
 
 
 class TestPinnedRendering:
@@ -461,11 +514,8 @@ class TestDeadlinesCoverTheGrid:
         # must name an instant no later than it, so ticking on reports
         # and deadlines misses no decision the grid makes
         timed = Counter()
-        for strategy, poisson, cycle_ms in PINNED_DIGESTS:
-            trace = pinned_grid_trace(strategy, poisson, cycle_ms)
-            state = SchedulerState(
-                TimingParams(t_d_us=100 * 1000, dispatch_cycle_us=cycle_ms * 1000)
-            )
+        for cell, trace, params in grid_runs():
+            state = SchedulerState(params)
             prev, due, reported = None, None, False
             for entry in trace.decision_log.entries:
                 if not isinstance(entry, TickRecord):
@@ -480,7 +530,7 @@ class TestDeadlinesCoverTheGrid:
                     and not reported
                     and prev.pipeline_nonempty == entry.pipeline_nonempty
                 ):
-                    assert due is not None and due <= entry.now, (strategy, poisson, cycle_ms, entry)
+                    assert due is not None and due <= entry.now, (cell, entry)
                     timed.update(getattr(a, "reason", type(a).__name__) for a in entry.actions)
                 prev, reported = entry, False
                 due = next_deadline(state, entry.now, entry.pipeline_nonempty)
