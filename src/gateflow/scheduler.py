@@ -14,7 +14,8 @@ instead and converges to the same number:
      dispatch an idle slot first)
   3. never grow twice within one interval
   4. never grow while the previously added slot has not sent yet
-  5. trim a slot that idles in Wait longer than one interval
+  5. trim a slot that idles in Wait longer than one interval, while
+     the pool is larger than the size the t_s and t_c estimates give
   6. at each dispatch-cycle boundary, trim slots that moved no rows in
      the whole cycle
   7. never retire the last slot before its in-flight send has finished
@@ -239,9 +240,11 @@ class SchedulerState:
     # -- latency estimation -------------------------------------------
 
     def observe_ts(self, sample_us: int) -> None:
+        self._journal("observe_ts", sample_us)
         self.est_ts_us = self._ewma(self.est_ts_us, sample_us)
 
     def observe_tc(self, sample_us: int) -> None:
+        self._journal("observe_tc", sample_us)
         self.est_tc_us = self._ewma(self.est_tc_us, sample_us)
 
     def _ewma(self, est: float | None, sample: int) -> float:
@@ -261,10 +264,14 @@ class SchedulerState:
 def _idle_trim(state: SchedulerState) -> tuple[Slot, int] | None:
     """Rule 5's candidate and the instant it is due: the unmarked
     waiter that has waited longest, once its wait passes t_d, while
-    more than one slot lives (rule 7 guards the last). The wait must
+    more than one slot lives (rule 7 guards the last) and, once both
+    estimates exist, more than ``estimated_optimal()``. The wait must
     pass t_d strictly: during growth a fresh slot's first wait can
     touch exactly t_d, and trimming at the boundary would undo the
-    growth and oscillate instead of converging."""
+    growth and oscillate instead of converging. The floor keeps the
+    formula's pool when t_s > t_d: there the next slot in line waits
+    past t_d at every rotation, and trimming it would starve the queue
+    until rules 2-4 grow a fresh slot."""
     waiting = [
         info
         for info in state.slots.values()
@@ -273,6 +280,9 @@ def _idle_trim(state: SchedulerState) -> tuple[Slot, int] | None:
         and info.wait_entered_at is not None
     ]
     if len(state.slots) <= 1 or not waiting:
+        return None
+    floor = state.estimated_optimal()
+    if floor is not None and len(state.slots) <= floor:
         return None
     victim = min(waiting, key=lambda info: (info.wait_entered_at, info.slot_id))
     return victim, victim.wait_entered_at + state.params.t_d_us + 1
@@ -416,7 +426,8 @@ class TickRecord:
 
 
 class DecisionLog:
-    """Journal of scheduler inputs (state reports) and tick outcomes.
+    """Journal of scheduler inputs (state reports and latency samples)
+    and tick outcomes.
 
     ``replay`` re-drives the reports into a fresh state and re-runs
     every tick, asserting the same actions come out: the proof that

@@ -17,6 +17,7 @@ from gateflow.scheduler import (
     DispatchSender,
     SchedulerState,
     Strategy,
+    TickRecord,
     TimingParams,
     end_to_end_latency_model,
     logged_tick,
@@ -334,6 +335,45 @@ class TestIdleWaitTrim:
         assert AbortSlot(b, ABORT_IDLE_WAIT) in acts
 
 
+def three_waiting_behind_a_sender(st_):
+    """a sends since 10 ms; b waits since 20 ms and c since 30 ms."""
+    st_.ticked_once = True
+    a, b, c = (st_.note_activated(0) for _ in range(3))
+    st_.note_ready(a, 0)
+    st_.note_dispatched(a, 10 * MS)
+    st_.note_ready(b, 20 * MS)
+    st_.note_ready(c, 30 * MS)
+    return a, b, c
+
+
+class TestIdleWaitFloor:
+    # t_d 100 ms, t_s 150 ms, t_c 50 ms: ceil(300 / 100) = 3 slots
+    def test_no_trim_at_the_estimated_size(self):
+        st_ = mk_state(cycle_ms=10_000)
+        st_.observe_ts(150 * MS)
+        st_.observe_tc(50 * MS)
+        three_waiting_behind_a_sender(st_)
+        assert st_.estimated_optimal() == 3
+        assert tick(st_, 500 * MS, False) == []
+        assert next_deadline(st_, 500 * MS, False) == 10_000 * MS
+
+    def test_trims_down_to_the_estimated_size(self):
+        st_ = mk_state(cycle_ms=10_000)
+        st_.observe_ts(50 * MS)
+        st_.observe_tc(50 * MS)
+        _, b, c = three_waiting_behind_a_sender(st_)
+        assert st_.estimated_optimal() == 2
+        assert tick(st_, 200 * MS, False) == [AbortSlot(b, ABORT_IDLE_WAIT)]
+        assert tick(st_, 300 * MS, False) == []  # c is spared at 2
+
+    @pytest.mark.parametrize("observe", ["observe_ts", "observe_tc"])
+    def test_one_estimate_alone_sets_no_floor(self, observe):
+        st_ = mk_state(cycle_ms=10_000)
+        getattr(st_, observe)(1000 * MS)
+        _, b, _ = three_waiting_behind_a_sender(st_)
+        assert tick(st_, 200 * MS, False) == [AbortSlot(b, ABORT_IDLE_WAIT)]
+
+
 class TestIdleCycleTrim:
     def test_zero_row_slot_aborted_at_boundary(self):
         st_ = mk_state(cycle_ms=1000)
@@ -574,6 +614,23 @@ class TestDecisionReplay:
         st_.note_send_ended(a, 7, 150 * MS)
         logged_tick(st_, 200 * MS, True)
         assert log.replay(params) == 4
+
+    def test_replay_drives_the_estimates_the_floor_reads(self):
+        log = DecisionLog()
+        params = TimingParams(t_d_us=100 * MS, dispatch_cycle_us=10_000 * MS)
+        st_ = SchedulerState(params, log=log)
+        st_.observe_ts(150 * MS)
+        st_.observe_tc(50 * MS)
+        three_waiting_behind_a_sender(st_)
+        # b has waited 180 ms, but the pool is at its estimated size
+        assert logged_tick(st_, 200 * MS, False) == []
+        assert log.replay(params) == 1
+        # without the samples the replayed state has no floor and trims b
+        log.entries = [
+            e for e in log.entries if isinstance(e, TickRecord) or not e[0].startswith("observe_")
+        ]
+        with pytest.raises(AssertionError, match="replay diverged at t=200000"):
+            log.replay(params)
 
     def test_tampered_log_detected(self):
         log = DecisionLog()

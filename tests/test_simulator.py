@@ -120,6 +120,32 @@ class TestPoolConvergence:
             assert all(c == target_size for c in counts[first:]), (t_d, t_s, t_c)
 
 
+class TestNoChurnAtFormulaSize:
+    # t_s from just under to over twice t_d: once t_s > t_d the next
+    # slot in line waits past t_d at every rotation, and a rule 5 that
+    # trimmed it anyway made 46-89 activations per case instead of
+    # settling. The pool's final size is not asserted: at t_s 30 and
+    # low rates it settles one below the formula on this grid
+    @pytest.mark.parametrize(
+        "t_s_ms, rate",
+        [(t_s, rate) for t_s in (45, 60, 120) for rate in (500, 2000, 8000)] + [(30, 8000)],
+    )
+    def test_pool_settles_in_a_few_activations(self, t_s_ms, rate):
+        trace = run_sim(
+            SimConfig(
+                t_d_ms=50,
+                t_s_ms=t_s_ms,
+                commit_fixed_ms=20,
+                commit_per_row_us=20,
+                arrival=((0, rate),),
+                duration_ms=10_000,
+                poisson=True,
+                seed=1,
+            )
+        )
+        assert sum(e.kind == "activated" for e in trace.events) <= 6
+
+
 class TestFeasibility:
     def test_full_pool_never_starves(self):
         # a pre-warmed pool of exactly the optimal size keeps some slot
@@ -387,13 +413,13 @@ class TestDecisionReplayParity:
 # shared tick, or to how the simulator reports to it, changes them
 PINNED_DIGESTS = {
     ("gate", False, 200): "6ba88e96dfb5ebc2c63b76c3f5bfbc4d69a2325cb59e0dc138c138f42a1680fc",
-    ("gate", False, 500): "6f0a18c7a31e0573fb95e6ee7685746fada627442421c5ae7d6697ac1f2b2ce0",
+    ("gate", False, 500): "7ce73d8c4b668cf566696f42c9d223466bf4278a0ebf24ef37211df532392224",
     ("gate", True, 200): "7954eef13e9ed3f50d01e17df58a4d76991b22906876edcfcc7f5917f6098272",
-    ("gate", True, 500): "ec3d66140f15c1e3f072df572b4f2013e6aa873a41575a4998f138bdb4fa2df0",
-    ("naive", False, 200): "47b17e2f8084308537328a53f83d87c5aefeb9050f7880eb5351094108808355",
-    ("naive", False, 500): "c1a84152301a699f98fc1c75ae9d55db94905d96a601e67d94e109e774bd237e",
-    ("naive", True, 200): "eeb1d737136ce7cafaa446f5aa907831287dc763b76065c4f5e483b19bf86cd3",
-    ("naive", True, 500): "0b7cffd1a2ce04675f55b61b107f251bb88db010d920ef55fc971aa5fced1907",
+    ("gate", True, 500): "6f79f856b7d052e05b9c54e97e51be14bf7fba5fcd74666da2956668977c7dc4",
+    ("naive", False, 200): "689ea72f9c116819ee586e69178d3cff43636711473122d361dc96beedb3b416",
+    ("naive", False, 500): "134ac2126c3f27037eb4afbf980bdf870e520e53cf4b2e7739b0200564f7b738",
+    ("naive", True, 200): "c5990a94b59fc23b8fe1a30e803f4ffa5961789cef0f708e6e7259d46a5b7128",
+    ("naive", True, 500): "545e38c5bd0edbd05a0758c75c02887e07b10742aa2fd67b06c10744d9174ba7",
 }
 
 
@@ -422,10 +448,10 @@ def pinned_grid_trace(strategy, poisson, cycle_ms):
 # reach: begin takes 1.2 and 2.4 intervals, and a rate step up and back
 # down moves the pool's formula size from 3 to 5-6 and back
 PINNED_DIGESTS_TS_OVER_TD = {
-    (60, False): "efb56cd00f31b7c4cf4d8202799c4c36434305a7709e6a6b82777ab6e43dba9d",
-    (60, True): "40260b6c951fe210f642f0dec5cbbac9479ad040da5106a2a46a13e99aedb04c",
-    (120, False): "539186fb76d4aff06411a663f7f52c7b2c304db9bc0e2ceee57fecef45719164",
-    (120, True): "92b2530402ff56df9218d7bbdde4fa5dfd16c7464b66b281526c13b30728e8fc",
+    (60, False): "2af4b124b9c2d5a432a08856a95259929aa2f4f69442c2f925b2a74ccb3056c8",
+    (60, True): "1753f785192767e851e20c6b92966e830719fd93db1860eb06bff5075cda1e9e",
+    (120, False): "c1b343a5d151b728e1fa7b48b4d95accdac434d2dd1aa5b832848b3a57c797d5",
+    (120, True): "bc497bab831370835ba4ea677ad30be8906227f1386f495ea9e3f8d2976460c8",
 }
 
 
@@ -503,7 +529,7 @@ class TestPinnedRendering:
                 parts.extend(render_gantt(trace, bucket_ms=ms) for ms in (1, 7, 50))
                 parts.append(repr(sorted(trace.send_spans())))
         digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
-        assert digest == "f3417ae5488c45f5b0086e4a516d8648b7bfbb170df657b4bbe58fe43ffa3e9f"
+        assert digest == "a4378953a6da77f6093b0e7cdf2ac43b36849a1eed1db6d7c81b9cb0ef2494e8"
 
 
 class TestDeadlinesCoverTheGrid:
