@@ -325,6 +325,13 @@ class Gateway:
             max_slots=config.max_slots,
         )
         self.state = SchedulerState(params)
+        # why the pool has its size: the estimates, the size they give,
+        # and the rows waiting, read as /metrics is served
+        state = self.state
+        self.counters.probe("est_ts_us", lambda: round(state.est_ts_us or 0))
+        self.counters.probe("est_tc_us", lambda: round(state.est_tc_us or 0))
+        self.counters.probe("pool_optimal_estimate", lambda: state.estimated_optimal() or 0)
+        self.counters.probe("queue_depth", self.queue.approx_len)
         self.nonce = uuid.uuid4().hex[:8]
         host, port = config.listen_host_port()
         self.ingest = IngestServer(self.queue, self.schema, self.counters, host, port)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import Callable
 
 US_PER_S = 1_000_000
 
@@ -79,6 +80,18 @@ COUNTER_KEYS = (
     "slots_aborted_total",
     "slot_failures_total",
     "last_commit_ms",
+    "est_ts_us",
+    "est_tc_us",
+    "pool_optimal_estimate",
+    "queue_depth",
+)
+GAUGE_KEYS = (
+    "active_slots",
+    "last_commit_ms",
+    "est_ts_us",
+    "est_tc_us",
+    "pool_optimal_estimate",
+    "queue_depth",
 )
 
 
@@ -87,12 +100,14 @@ class Counters:
 
     Writers from any thread or task go through one lock; readers take
     plain snapshots, so values are individually current but not
-    mutually consistent. rows_* and *_total only grow;
-    active_slots and last_commit_ms are gauges.
+    mutually consistent. rows_* and *_total only grow; the
+    ``GAUGE_KEYS`` are gauges, each set by its writer or read from a
+    probe whenever a snapshot is taken.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        self._probes: dict[str, Callable[[], int]] = {}
         for key in COUNTER_KEYS:
             setattr(self, key, 0)
 
@@ -103,13 +118,21 @@ class Counters:
             setattr(self, key, getattr(self, key) + amount)
 
     def set_gauge(self, key: str, value: int) -> None:
-        if key not in ("active_slots", "last_commit_ms"):
+        if key not in GAUGE_KEYS:
             raise KeyError(key)
         with self._lock:
             setattr(self, key, value)
 
+    def probe(self, key: str, read: Callable[[], int]) -> None:
+        """Take gauge ``key`` from ``read()`` in every snapshot."""
+        if key not in GAUGE_KEYS:
+            raise KeyError(key)
+        self._probes[key] = read
+
     def snapshot(self) -> dict[str, int]:
-        return {key: getattr(self, key) for key in COUNTER_KEYS}
+        snap = {key: getattr(self, key) for key in COUNTER_KEYS}
+        snap.update((key, read()) for key, read in self._probes.items())
+        return snap
 
     def render(self) -> str:
         """The flat key=value text served at /metrics."""

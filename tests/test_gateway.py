@@ -124,6 +124,46 @@ class TestShutdown:
         assert seen == []
 
 
+async def get_metrics(port):
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(b"GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+    raw = await reader.read()
+    writer.close()
+    head, _, body = raw.decode().partition("\r\n\r\n")
+    assert head.startswith("HTTP/1.1 200")
+    return {key: int(value) for key, value in (ln.split("=") for ln in body.splitlines())}
+
+
+class TestMetricsExplainThePool:
+    def test_nothing_is_estimated_before_a_sample(self):
+        gw = Gateway(GatewayConfig(segments=(SegmentConfig(id="seg0", port=1),), schema="seq:int"))
+        gw.queue.requeue([Run(b"1\n2\n", 2, -1)])
+        snap = gw.counters.snapshot()
+        assert [snap[key] for key in ("est_ts_us", "est_tc_us", "pool_optimal_estimate")] == [0, 0, 0]
+        assert snap["queue_depth"] == 2
+
+    def test_metrics_give_the_size_the_estimates_predict(self):
+        async def go():
+            async with live_gateway(
+                n_segments=1,
+                interval_ms=30,
+                seg_kw=dict(begin_latency_ms=45, commit_fixed_ms=20),
+            ) as (gw, _):
+                status, _ = await post_lines(gw.ingest_port, lines_for(range(50)))
+                assert status == 200
+                assert await gw.quiesce(timeout_s=10)
+                doc = await get_metrics(gw.ingest_port)
+                # ceil((30 + 45 + 20 ms and the loop's own time) / 30)
+                assert doc["pool_optimal_estimate"] == gw.state.estimated_optimal() == 4
+                assert doc["est_ts_us"] >= 45_000 and doc["est_tc_us"] >= 20_000
+                assert doc["queue_depth"] == 0
+                snap = gw.counters.snapshot()
+                assert snap["est_ts_us"] == round(gw.state.est_ts_us)
+                assert snap["est_tc_us"] == round(gw.state.est_tc_us)
+
+        asyncio.run(go())
+
+
 class TestOneSlotRecord:
     def test_runners_drive_the_slots_the_state_holds(self):
         # the runner, the audit list and the scheduler state share one

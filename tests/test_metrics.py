@@ -165,6 +165,16 @@ class TestCounters:
         with pytest.raises(KeyError):
             c.set_gauge("rows_accepted", 1)
 
+    def test_probed_gauge_is_read_at_each_snapshot(self):
+        c = Counters()
+        depth = [3]
+        c.probe("queue_depth", lambda: depth[0])
+        assert c.snapshot()["queue_depth"] == 3
+        depth[0] = 0
+        assert "queue_depth=0\n" in c.render()
+        with pytest.raises(KeyError):
+            c.probe("rows_accepted", lambda: 1)
+
     def test_render_format(self):
         c = Counters()
         c.add("rows_accepted", 10)

@@ -1,5 +1,6 @@
 """Smoke tests for the scripts under ``scripts/``: each runs with small
-arguments, exits 0 and writes nothing to stderr."""
+arguments, exits 0 and writes nothing to stderr, and a script with a
+bound exits 1 past it."""
 
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, returncode=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
@@ -20,13 +21,14 @@ def run_script(name, *args):
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""  # no traceback, warning or log line
-    return proc.stdout
+    assert proc.returncode == returncode, proc.stderr
+    if returncode == 0:
+        assert proc.stderr == ""  # no traceback, warning or log line
+    return proc
 
 
 def test_idle_cpu_reports_cpu_and_commit_rate():
-    stdout = run_script("idle_cpu.py", "--seconds", "0.3")
+    stdout = run_script("idle_cpu.py", "--seconds", "0.3").stdout
     values = dict(line.split("=", 1) for line in stdout.splitlines()[1:])
     assert set(values) == {
         "cpu_pct", "commits_per_s", "txns_retained_per_s", "transitions_retained_per_s"}
@@ -37,7 +39,7 @@ def test_idle_cpu_reports_cpu_and_commit_rate():
 
 
 def test_row_work_reports_each_side_per_row():
-    stdout = run_script("row_work.py", "--rows", "3000", "--repeats", "2")
+    stdout = run_script("row_work.py", "--rows", "3000", "--repeats", "2").stdout
     head, *sides = stdout.splitlines()
     assert head.startswith("rows=3000 segments=2 repeats=2 pinned=")
     assert [line.split()[0] for line in sides] == [
@@ -62,6 +64,11 @@ def test_row_work_reports_each_side_per_row():
             "pool_convergence.py", ["--triples", "2"],
             "all 2 triples settled on the predicted size", id="pool_convergence",
         ),
+        pytest.param(
+            "pool_churn.py",
+            ["--t-s", "60", "--rates", "2000", "--seconds", "2", "--max-activations", "6"],
+            "   60    2000           3", id="pool_churn",
+        ),
         # reads Gateway.send_spans() for its overlap count
         pytest.param(
             "live_demo.py", ["--seconds", "1", "--segments", "2"],
@@ -70,4 +77,12 @@ def test_row_work_reports_each_side_per_row():
     ],
 )
 def test_script_runs_clean(name, args, expect):
-    assert expect in run_script(name, *args)
+    assert expect in run_script(name, *args).stdout
+
+
+def test_pool_churn_fails_above_its_activation_bound():
+    proc = run_script(
+        "pool_churn.py", "--t-s", "60", "--rates", "2000", "--seconds", "2",
+        "--max-activations", "2", returncode=1,
+    )
+    assert "a case made 3 activations, more than 2" in proc.stderr
