@@ -144,9 +144,9 @@ class SchedulerState:
     Engines carry out the actions ``tick`` returns; ``tick`` and the
     two reports that resolve a mark retire slots here themselves.
     Timestamps are microseconds on whatever clock the engine runs.
-    When a DecisionLog is attached, every report is journaled so a run
-    can be replayed against a fresh state to prove the decisions were a
-    pure function of the inputs.
+    When a DecisionLog is attached, every report and latency sample is
+    journaled so a run can be replayed against a fresh state to prove
+    the decisions were a pure function of the inputs.
     """
 
     def __init__(self, params: TimingParams, log: "DecisionLog | None" = None) -> None:
