@@ -85,14 +85,9 @@ COUNTER_KEYS = (
     "pool_optimal_estimate",
     "queue_depth",
 )
-GAUGE_KEYS = (
-    "active_slots",
-    "last_commit_ms",
-    "est_ts_us",
-    "est_tc_us",
-    "pool_optimal_estimate",
-    "queue_depth",
-)
+GAUGE_KEYS = ("active_slots", "last_commit_ms")
+# gauges read from a probe at each snapshot; 0 until one is registered
+PROBED_KEYS = ("est_ts_us", "est_tc_us", "pool_optimal_estimate", "queue_depth")
 
 
 class Counters:
@@ -101,18 +96,20 @@ class Counters:
     Writers from any thread or task go through one lock; readers take
     plain snapshots, so values are individually current but not
     mutually consistent. rows_* and *_total only grow; the
-    ``GAUGE_KEYS`` are gauges, each set by its writer or read from a
-    probe whenever a snapshot is taken.
+    ``GAUGE_KEYS`` are gauges set by their writers, and the
+    ``PROBED_KEYS`` gauges are read from a probe whenever a snapshot is
+    taken.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._probes: dict[str, Callable[[], int]] = {}
+        self._probes: dict[str, Callable[[], int]] = dict.fromkeys(PROBED_KEYS, lambda: 0)
         for key in COUNTER_KEYS:
-            setattr(self, key, 0)
+            if key not in PROBED_KEYS:
+                setattr(self, key, 0)
 
     def add(self, key: str, amount: int = 1) -> None:
-        if key not in COUNTER_KEYS:
+        if key not in COUNTER_KEYS or key in PROBED_KEYS:
             raise KeyError(key)
         with self._lock:
             setattr(self, key, getattr(self, key) + amount)
@@ -125,14 +122,14 @@ class Counters:
 
     def probe(self, key: str, read: Callable[[], int]) -> None:
         """Take gauge ``key`` from ``read()`` in every snapshot."""
-        if key not in GAUGE_KEYS:
+        if key not in PROBED_KEYS:
             raise KeyError(key)
         self._probes[key] = read
 
     def snapshot(self) -> dict[str, int]:
-        snap = {key: getattr(self, key) for key in COUNTER_KEYS}
-        snap.update((key, read()) for key, read in self._probes.items())
-        return snap
+        probes = self._probes
+        return {key: probes[key]() if key in probes else getattr(self, key)
+                for key in COUNTER_KEYS}
 
     def render(self) -> str:
         """The flat key=value text served at /metrics."""

@@ -174,6 +174,12 @@ class TestCounters:
         assert "queue_depth=0\n" in c.render()
         with pytest.raises(KeyError):
             c.probe("rows_accepted", lambda: 1)
+        with pytest.raises(KeyError):
+            c.probe("active_slots", lambda: 1)
+        with pytest.raises(KeyError):  # a probed gauge has one writer
+            c.set_gauge("queue_depth", 1)
+        with pytest.raises(KeyError):
+            c.add("queue_depth")
 
     def test_render_format(self):
         c = Counters()

@@ -66,7 +66,7 @@ def test_row_work_reports_each_side_per_row():
         ),
         pytest.param(
             "pool_churn.py",
-            ["--t-s", "60", "--rates", "2000", "--seconds", "2", "--max-activations", "6"],
+            ["--t-s", "60", "--rates", "2000", "--seconds", "2"],
             "   60    2000           3", id="pool_churn",
         ),
         # reads Gateway.send_spans() for its overlap count

@@ -3,8 +3,10 @@ flow-step adaptations, drain and loss-safety behavior, strategy
 comparison, timeline rendering, and decision replay."""
 
 import hashlib
+import importlib.util
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,18 @@ from gateflow.simulator import (
 from gateflow.slot import SlotPhase
 
 HEADLINE = dict(t_d_ms=100, t_s_ms=50, commit_fixed_ms=150, tick_ms=1)
+
+
+def load_script(name):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the churn grid and its bound, which CI also runs as a script
+pool_churn = load_script("pool_churn")
 
 
 def slot_counts(trace):
@@ -121,29 +135,44 @@ class TestPoolConvergence:
 
 
 class TestNoChurnAtFormulaSize:
-    # t_s from just under to over twice t_d: once t_s > t_d the next
+    # t_s from just over half to over twice t_d: once t_s > t_d the next
     # slot in line waits past t_d at every rotation, and a rule 5 that
     # trimmed it anyway made 46-89 activations per case instead of
     # settling. The pool's final size is not asserted: at t_s 30 and
     # low rates it settles one below the formula on this grid
     @pytest.mark.parametrize(
         "t_s_ms, rate",
-        [(t_s, rate) for t_s in (45, 60, 120) for rate in (500, 2000, 8000)] + [(30, 8000)],
+        [(t_s, rate) for t_s in pool_churn.T_S_MS for rate in pool_churn.RATES],
     )
     def test_pool_settles_in_a_few_activations(self, t_s_ms, rate):
+        activations, _, _, _ = pool_churn.run_case(t_s_ms, rate)
+        assert activations <= pool_churn.MAX_ACTIVATIONS
+
+
+class TestIdleAfterLoad:
+    # rule 5 stops at the formula size, so once rows stop only rule 6
+    # shrinks the pool: it keeps its size through the rest of the cycle
+    # and is trimmed at the first boundary that closes a cycle without
+    # rows, here 3 s for rows that stop at the 2 s boundary
+    @pytest.mark.parametrize("t_s_ms, formula", [(60, 3), (120, 4)])
+    def test_rule_6_trims_the_pool_at_the_first_idle_boundary(self, t_s_ms, formula):
         trace = run_sim(
             SimConfig(
                 t_d_ms=50,
                 t_s_ms=t_s_ms,
                 commit_fixed_ms=20,
                 commit_per_row_us=20,
-                arrival=((0, rate),),
-                duration_ms=10_000,
-                poisson=True,
-                seed=1,
+                arrival=((0, 2000), (2000, 0)),
+                duration_ms=3500,
+                dispatch_cycle_ms=1000,
             )
         )
-        assert sum(e.kind == "activated" for e in trace.events) <= 6
+        counts = slot_counts(trace)
+        assert counts[39] == formula  # the interval before rows stop
+        retired = [e for e in trace.events if e.kind == "retired"]
+        assert min(e.t for e in retired) == 3_000_000
+        assert {e.reason for e in retired} == {ABORT_NO_DATA_CYCLE}
+        assert trace.final_slots == 1
 
 
 class TestFeasibility:
