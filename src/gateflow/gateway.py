@@ -325,9 +325,11 @@ class Gateway:
             max_slots=config.max_slots,
         )
         self.state = SchedulerState(params)
-        # why the pool has its size: the estimates, the size they give,
-        # and the rows waiting, read as /metrics is served
+        # the pool, why it has its size (the estimates, the size they
+        # give, and the rows waiting), read as /metrics is served
         state = self.state
+        self.counters.probe("active_slots", lambda: len(self.runners))
+        self.counters.probe("slots_activated_total", lambda: state.activations_total)
         self.counters.probe("est_ts_us", lambda: round(state.est_ts_us or 0))
         self.counters.probe("est_tc_us", lambda: round(state.est_tc_us or 0))
         self.counters.probe("pool_optimal_estimate", lambda: state.estimated_optimal() or 0)
@@ -441,8 +443,6 @@ class Gateway:
         runner.task = asyncio.create_task(runner.run())
         self.runners[sid] = runner
         self.audit_slots.append(slot)
-        self.counters.add("slots_activated_total")
-        self.counters.set_gauge("active_slots", len(self.runners))
 
     def runner_done(self, runner: SlotRunner, error: Exception | None) -> None:
         """The one exit of every slot task. Scheduler decisions and
@@ -456,10 +456,8 @@ class Gateway:
             self.request_tick()
             self.counters.add("slot_failures_total")
             log.warning("slot %d failed: %s", sid, error)
-        if self.runners.pop(sid, None) is not None:
-            self.counters.set_gauge("active_slots", len(self.runners))
-            if self._running:
-                self.counters.add("slots_aborted_total")
+        if self.runners.pop(sid, None) is not None and self._running:
+            self.counters.add("slots_aborted_total")
 
     # -- audit -----------------------------------------------------------
 

@@ -85,9 +85,16 @@ COUNTER_KEYS = (
     "pool_optimal_estimate",
     "queue_depth",
 )
-GAUGE_KEYS = ("active_slots", "last_commit_ms")
-# gauges read from a probe at each snapshot; 0 until one is registered
-PROBED_KEYS = ("est_ts_us", "est_tc_us", "pool_optimal_estimate", "queue_depth")
+GAUGE_KEYS = ("last_commit_ms",)
+# values read from a probe at each snapshot; 0 until one is registered
+PROBED_KEYS = (
+    "active_slots",
+    "slots_activated_total",
+    "est_ts_us",
+    "est_tc_us",
+    "pool_optimal_estimate",
+    "queue_depth",
+)
 
 
 class Counters:
@@ -97,8 +104,7 @@ class Counters:
     plain snapshots, so values are individually current but not
     mutually consistent. rows_* and *_total only grow; the
     ``GAUGE_KEYS`` are gauges set by their writers, and the
-    ``PROBED_KEYS`` gauges are read from a probe whenever a snapshot is
-    taken.
+    ``PROBED_KEYS`` are read from a probe whenever a snapshot is taken.
     """
 
     def __init__(self) -> None:
@@ -121,7 +127,7 @@ class Counters:
             setattr(self, key, value)
 
     def probe(self, key: str, read: Callable[[], int]) -> None:
-        """Take gauge ``key`` from ``read()`` in every snapshot."""
+        """Take ``key`` from ``read()`` in every snapshot."""
         if key not in PROBED_KEYS:
             raise KeyError(key)
         self._probes[key] = read

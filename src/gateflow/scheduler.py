@@ -82,8 +82,9 @@ def end_to_end_latency_model(
 
 
 def select_sender(waiting: Iterable[tuple[int, int]]) -> int:
-    """Pick the next sender among ``(slot_id, wait_entered_at)`` pairs:
-    longest-waiting first, ties to the lowest slot id."""
+    """Pick the next sender among ``(slot_id, since)`` pairs, ``since``
+    the instant each slot entered Wait: longest-waiting first, ties to
+    the lowest slot id."""
     best = min(waiting, default=None, key=lambda w: (w[1], w[0]))
     if best is None:
         raise ValueError("no waiting slots to select from")
@@ -136,8 +137,11 @@ class TimingParams:
 class SchedulerState:
     """Mutable scheduler bookkeeping, engine-agnostic.
 
-    ``slots`` holds the one ``Slot`` record of every live slot. Engines
-    read it but move it only through the ``note_*`` reports (activated,
+    ``slots`` holds the one ``Slot`` record of every live slot, the
+    only record of the slot facts: each slot's phase and the instant it
+    entered it. The current sender and the activation and abort totals
+    are read from these records, not kept beside them. Engines read
+    ``slots`` but move it only through the ``note_*`` reports (activated,
     ready, dispatched, send ended, commit acked, and ``note_retired``
     for a failure or shutdown), each of which takes its edge through
     ``Slot.transition`` and so raises ``PhaseError`` when illegal.
@@ -157,16 +161,27 @@ class SchedulerState:
         self.cycle_started_at = 0
         self.last_activation_at: int | None = None
         self.last_activated_slot: int | None = None
-        self.current_sender: int | None = None
         self.next_slot_id = 1
         self.est_ts_us: float | None = None
         self.est_tc_us: float | None = None
-        self.activations_total = 0
-        self.aborts_total = 0
 
     def _journal(self, name: str, *args) -> None:
         if self.log is not None:
             self.log.entries.append((name, args))
+
+    @property
+    def current_sender(self) -> int | None:
+        """The slot in Send, if any: there is at most one."""
+        return next((s.slot_id for s in self.slots.values() if s.phase is SlotPhase.SEND), None)
+
+    @property
+    def activations_total(self) -> int:
+        return self.next_slot_id - 1
+
+    @property
+    def aborts_total(self) -> int:
+        """Slots retired, for any reason: every slot activated and gone."""
+        return self.activations_total - len(self.slots)
 
     # -- engine reports ----------------------------------------------
 
@@ -174,25 +189,20 @@ class SchedulerState:
         self._journal("note_activated", now)
         slot_id = self.next_slot_id
         self.next_slot_id += 1
-        self.slots[slot_id] = Slot(slot_id, activated_at=now)
+        self.slots[slot_id] = Slot(slot_id, since=now, activated_at=now)
         self.last_activation_at = now
         self.last_activated_slot = slot_id
-        self.activations_total += 1
         return slot_id
 
     def note_ready(self, slot_id: int, now: int) -> None:
         self._journal("note_ready", slot_id, now)
-        slot = self.slots[slot_id]
-        slot.transition(SlotPhase.WAIT, Initiator.SCHEDULER, now)
-        slot.wait_entered_at = now
+        self.slots[slot_id].transition(SlotPhase.WAIT, Initiator.SCHEDULER, now)
 
     def note_dispatched(self, slot_id: int, now: int) -> None:
         self._journal("note_dispatched", slot_id, now)
         slot = self.slots[slot_id]
         slot.transition(SlotPhase.SEND, Initiator.SCHEDULER, now)
-        slot.wait_entered_at = None
         slot.entered_send_once = True
-        self.current_sender = slot_id
 
     def note_send_ended(self, slot_id: int, rows: int, now: int) -> bool:
         """The slot's send window closed with ``rows`` in its batch.
@@ -205,8 +215,6 @@ class SchedulerState:
         slot = self.slots[slot_id]
         slot.transition(SlotPhase.COMMIT, Initiator.SLOT, now)
         slot.sent_rows_this_cycle += rows
-        if self.current_sender == slot_id:
-            self.current_sender = None
         if slot.marked_for_abort:
             if rows == 0:
                 self._retire(slot_id, now)
@@ -233,9 +241,6 @@ class SchedulerState:
 
     def _retire(self, slot_id: int, now: int, initiator: Initiator = Initiator.SCHEDULER) -> None:
         self.slots.pop(slot_id).transition(SlotPhase.RETIRED, initiator, now)
-        if self.current_sender == slot_id:
-            self.current_sender = None
-        self.aborts_total += 1
 
     # -- latency estimation -------------------------------------------
 
@@ -275,17 +280,15 @@ def _idle_trim(state: SchedulerState) -> tuple[Slot, int] | None:
     waiting = [
         info
         for info in state.slots.values()
-        if info.phase is SlotPhase.WAIT
-        and not info.marked_for_abort
-        and info.wait_entered_at is not None
+        if info.phase is SlotPhase.WAIT and not info.marked_for_abort
     ]
     if len(state.slots) <= 1 or not waiting:
         return None
     floor = state.estimated_optimal()
     if floor is not None and len(state.slots) <= floor:
         return None
-    victim = min(waiting, key=lambda info: (info.wait_entered_at, info.slot_id))
-    return victim, victim.wait_entered_at + state.params.t_d_us + 1
+    victim = min(waiting, key=lambda info: (info.since, info.slot_id))
+    return victim, victim.since + state.params.t_d_us + 1
 
 
 def _growth_at(state: SchedulerState, pipeline_nonempty: bool, last: Slot | None) -> int | None:
@@ -339,8 +342,7 @@ def tick(state: SchedulerState, now: int, pipeline_nonempty: bool) -> list[Actio
             and not info.marked_for_abort
         ]
         for info in sorted(idle, key=lambda info: info.slot_id):
-            sending = info.phase is SlotPhase.SEND or state.current_sender == info.slot_id
-            if len(live) <= 1 or sending or info.phase is SlotPhase.COMMIT:
+            if len(live) <= 1 or info.phase in (SlotPhase.SEND, SlotPhase.COMMIT):
                 # rule 7: the last slot (and any in-flight send or
                 # commit) finishes its current send before retiring
                 info.marked_for_abort = True
@@ -362,9 +364,7 @@ def tick(state: SchedulerState, now: int, pipeline_nonempty: bool) -> list[Actio
     # dispatch: hand the send window to the longest-waiting slot
     if state.current_sender is None:
         waiting = [
-            (info.slot_id, info.wait_entered_at)
-            for info in live.values()
-            if info.phase is SlotPhase.WAIT and info.wait_entered_at is not None
+            (info.slot_id, info.since) for info in live.values() if info.phase is SlotPhase.WAIT
         ]
         if waiting:
             actions.append(DispatchSender(select_sender(waiting)))

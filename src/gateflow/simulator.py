@@ -28,6 +28,7 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import Any, Callable
 
 from .config import known_keys, require
@@ -191,20 +192,29 @@ class SimTrace:
 
     @classmethod
     def from_json(cls, raw: str) -> "SimTrace":
+        """The trace ``to_json`` wrote. JSON that is not one raises a
+        ValueError that says what is malformed."""
         data = json.loads(raw)
+        if not isinstance(data, dict) or not isinstance(data.get("config"), dict):
+            raise ValueError(
+                f"a trace is a JSON object with a config object, got {json.dumps(data)[:60]}"
+            )
         trace = cls(config=SimConfig.from_dict(data["config"]))
-        trace.events = [
-            TraceEvent(t, kind, slot, detail, reason)
-            for t, kind, slot, detail, reason in data["events"]
-        ]
-        trace.batches = [
-            BatchStat(*row) for row in data["batches"]
-        ]
-        trace.interval_slots = [tuple(pair) for pair in data["interval_slots"]]
-        trace.starved_ticks = data["starved_ticks"]
-        trace.arrived_rows = data["arrived_rows"]
-        trace.committed_rows = data["committed_rows"]
-        trace.final_slots = data["final_slots"]
+        try:
+            trace.events = [
+                TraceEvent(t, kind, slot, detail, reason)
+                for t, kind, slot, detail, reason in data["events"]
+            ]
+            trace.batches = [
+                BatchStat(*row) for row in data["batches"]
+            ]
+            trace.interval_slots = [tuple(pair) for pair in data["interval_slots"]]
+            trace.starved_ticks = data["starved_ticks"]
+            trace.arrived_rows = data["arrived_rows"]
+            trace.committed_rows = data["committed_rows"]
+            trace.final_slots = data["final_slots"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed trace: {exc!r}") from exc
         return trace
 
     def digest(self) -> str:
@@ -220,17 +230,12 @@ class SimTrace:
         return send_spans(slot_phases(self.events))
 
 
-@dataclass
-class _SimSlot:
-    slot_id: int
-    connect_started_at: int = 0
-    dispatched_at: int = 0
-    send_started_at: int = 0
-    send_ended_at: int = 0
-    batch_rows: int = 0
-
-
 class _Sim:
+    """One run. The scheduler state holds every slot fact: which slots
+    live, and when each entered its phase. Only the open batch's rows
+    live here, since one slot streams at a time; a finished batch's
+    times and rows travel on its commit event."""
+
     def __init__(self, config: SimConfig) -> None:
         self.config = config
         self.t_d = config.t_d_ms * 1000
@@ -250,8 +255,8 @@ class _Sim:
         self.log = DecisionLog()
         self.state = SchedulerState(params, log=self.log)
         self.trace = SimTrace(config=config, decision_log=self.log)
-        self.slots: dict[int, _SimSlot] = {}
-        # (t, seq, handler, slot_id): run as handler(t, slot_id)
+        # (t, seq, handler, slot_id): run as handler(t, slot_id); a
+        # handler whose slot the state no longer lists drops the event
         self.heap: list[tuple[int, int, Callable[[int, int], None], int]] = []
         self.seq = 0
         self.rng = random.Random(config.seed)
@@ -261,7 +266,8 @@ class _Sim:
         self.backlog = 0
         self.carry = 0
         self.last_mat = 0
-        self.drainer: int | None = None
+        self.drainer: int | None = None  # the slot streaming the open batch
+        self.batch_rows = 0
         self.arrived = 0
         self.committed = 0
 
@@ -290,7 +296,7 @@ class _Sim:
             if rows:
                 self.arrived += rows
                 if self.drainer is not None:
-                    self.slots[self.drainer].batch_rows += rows
+                    self.batch_rows += rows
                 else:
                     self.backlog += rows
             self.last_mat = now
@@ -346,8 +352,6 @@ class _Sim:
 
     def apply_activate(self, now: int, _: int = 0) -> None:
         sid = self.state.note_activated(now)
-        slot = _SimSlot(sid, connect_started_at=now)
-        self.slots[sid] = slot
         self.emit(now, "activated", sid)
         if self.gate:
             self.push(now + self.t_s, self.on_connect_done, sid)
@@ -356,97 +360,82 @@ class _Sim:
             self.emit(now, "ready", sid)
 
     def apply_dispatch(self, now: int, sid: int) -> None:
-        slot = self.slots[sid]
-        slot.dispatched_at = now
         self.state.note_dispatched(sid, now)
         self.emit(now, "dispatched", sid)
         if self.gate:
-            self.start_streaming(now, slot)
+            self.start_streaming(now, sid)
         else:
             # naive: the transaction opens now, then streaming starts
             self.push(now + self.t_s, self.on_ready_after_dispatch, sid)
 
-    def start_streaming(self, now: int, slot: _SimSlot) -> None:
+    def start_streaming(self, now: int, sid: int) -> None:
         self.materialize(now)
-        slot.batch_rows = self.backlog
+        self.batch_rows = self.backlog
         self.backlog = 0
-        slot.send_started_at = now
-        self.drainer = slot.slot_id
-        self.emit(now, "send_start", slot.slot_id)
-        self.push(now + self.t_d, self.on_send_end, slot.slot_id)
+        self.drainer = sid
+        self.emit(now, "send_start", sid)
+        self.push(now + self.t_d, partial(self.on_send_end, now), sid)
 
     def apply_abort(self, now: int, action: AbortSlot) -> None:
         # tick has already marked or retired the slot in the state
         if action.deferred:
             self.emit(now, "marked", action.slot_id, 0, action.reason)
         else:
-            self.retire(now, action.slot_id, action.reason)
-
-    def retire(self, now: int, sid: int, reason: str) -> None:
-        # the state retired the slot already; events still queued for
-        # it find no slot and are dropped
-        del self.slots[sid]
-        self.emit(now, "retired", sid, 0, reason)
+            self.emit(now, "retired", action.slot_id, 0, action.reason)
 
     def on_connect_done(self, now: int, sid: int) -> None:
-        slot = self.slots.get(sid)
+        slot = self.state.slots.get(sid)
         if slot is None:
             return
+        connect_started_at = slot.since
         self.state.note_ready(sid, now)
-        self.state.observe_ts(now - slot.connect_started_at)
+        self.state.observe_ts(now - connect_started_at)
         self.emit(now, "ready", sid)
 
     def on_ready_after_dispatch(self, now: int, sid: int) -> None:
-        slot = self.slots.get(sid)
+        slot = self.state.slots.get(sid)
         if slot is None:
             return
-        self.state.observe_ts(now - slot.dispatched_at)
-        self.start_streaming(now, slot)
+        self.state.observe_ts(now - slot.since)  # in Send since its dispatch
+        self.start_streaming(now, sid)
 
-    def on_send_end(self, now: int, sid: int) -> None:
-        slot = self.slots.get(sid)
+    def on_send_end(self, send_started_at: int, now: int, sid: int) -> None:
+        slot = self.state.slots.get(sid)
         if slot is None:
             return
         self.materialize(now)
-        if self.drainer == sid:
-            self.drainer = None
-        slot.send_ended_at = now
-        rows = slot.batch_rows
-        marked = self.state.slots[sid].marked_for_abort
+        self.drainer = None
+        rows = self.batch_rows
+        dispatched_at = slot.since
+        marked = slot.marked_for_abort
         retired = self.state.note_send_ended(sid, rows, now)
         self.emit(now, "send_end", sid, rows)
         if retired:
             # rule 6 is the only deferred abort
-            self.retire(now, sid, ABORT_NO_DATA_CYCLE)
+            self.emit(now, "retired", sid, 0, ABORT_NO_DATA_CYCLE)
             return
         if marked:
             self.emit(now, "mark_cancelled", sid)
-        self.push(now + self.commit_us(rows), self.on_commit_done, sid)
+        batch = partial(self.on_commit_done, dispatched_at, send_started_at, rows)
+        self.push(now + self.commit_us(rows), batch, sid)
 
-    def on_commit_done(self, now: int, sid: int) -> None:
-        slot = self.slots.get(sid)
+    def on_commit_done(
+        self, dispatched_at: int, send_started_at: int, rows: int, now: int, sid: int
+    ) -> None:
+        slot = self.state.slots.get(sid)
         if slot is None:
             return
-        rows = slot.batch_rows
+        send_ended_at = slot.since  # in Commit since its send end
         self.committed += rows
-        self.state.observe_tc(now - slot.send_ended_at)
+        self.state.observe_tc(now - send_ended_at)
         self.trace.batches.append(
-            BatchStat(
-                sid,
-                slot.dispatched_at,
-                slot.send_started_at,
-                slot.send_ended_at,
-                now,
-                rows,
-            )
+            BatchStat(sid, dispatched_at, send_started_at, send_ended_at, now, rows)
         )
         self.emit(now, "commit", sid, rows)
-        slot.batch_rows = 0
         if self.state.note_commit_acked(sid, now):
-            self.retire(now, sid, ABORT_NO_DATA_CYCLE)
+            self.emit(now, "retired", sid, 0, ABORT_NO_DATA_CYCLE)
             return
         if self.gate:
-            slot.connect_started_at = now
             self.emit(now, "reconnect", sid)
             self.push(now + self.t_s, self.on_connect_done, sid)
         else:
@@ -457,7 +446,7 @@ class _Sim:
         trace = self.trace
         trace.arrived_rows = self.arrived
         trace.committed_rows = self.committed
-        trace.final_slots = len(self.slots)
+        trace.final_slots = len(self.state.slots)
         # live-pool size at every interval boundary, counting the events
         # at the boundary itself; the events are in time order
         count = k = 0

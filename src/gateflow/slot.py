@@ -63,17 +63,19 @@ class Transition:
 
 @dataclass
 class Slot:
-    """One slot: its phase, its cycle (bumped on every re-entry to
-    Connect, and part of its transaction id), the history of its
-    transitions with their initiators, and the facts the scheduler's
-    rules read. No I/O lives here; the runner owns the batch."""
+    """One slot: its phase and ``since``, the instant it entered that
+    phase (its activation, then each transition's ``now``), its cycle
+    (bumped on every re-entry to Connect, and part of its transaction
+    id), the history of its transitions with their initiators, and the
+    facts the scheduler's rules read. No I/O lives here; the runner
+    owns the batch."""
 
     slot_id: int
     phase: SlotPhase = SlotPhase.CONNECT
+    since: int = 0
     cycle: int = 0
     history: list[Transition] = field(default_factory=list)
     activated_at: int = 0
-    wait_entered_at: int | None = None
     entered_send_once: bool = False
     sent_rows_this_cycle: int = 0
     marked_for_abort: bool = False
@@ -91,6 +93,7 @@ class Slot:
         if dst is SlotPhase.CONNECT:
             self.cycle += 1
         self.phase = dst
+        self.since = now
         event = Transition(now, self.slot_id, src, dst, initiator)
         self.history.append(event)
         return event

@@ -189,6 +189,15 @@ class TestSimulateAndGantt:
         assert main(["gantt", "--trace", str(trace_path), "--bucket-ms", "0"]) == 1
         assert capsys.readouterr().err == "error: bucket_ms must be >= 1\n"
 
+    @pytest.mark.parametrize("raw", ["[]", "null", '{"config": 5}'])
+    def test_json_that_is_no_trace_is_usage_error(self, tmp_path, capsys, raw):
+        trace_path = tmp_path / "trace.json"
+        trace_path.write_text(raw)
+        assert main(["gantt", "--trace", str(trace_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "config" in err
+        assert "Traceback" not in err
+
     def test_simulate_without_out_file(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(yaml.safe_dump(dict(self.SCENARIO, duration_ms=500)))

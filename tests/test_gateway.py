@@ -160,6 +160,8 @@ class TestMetricsExplainThePool:
                 snap = gw.counters.snapshot()
                 assert snap["est_ts_us"] == round(gw.state.est_ts_us)
                 assert snap["est_tc_us"] == round(gw.state.est_tc_us)
+                assert snap["active_slots"] == len(gw.runners) >= 1
+                assert snap["slots_activated_total"] == gw.state.activations_total >= 1
 
         asyncio.run(go())
 

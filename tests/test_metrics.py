@@ -156,11 +156,9 @@ class TestCounters:
 
     def test_gauge_set_and_guard(self):
         c = Counters()
-        c.set_gauge("active_slots", 7)
-        c.set_gauge("active_slots", 3)
+        c.set_gauge("last_commit_ms", 7)
         c.set_gauge("last_commit_ms", 123456)
         snap = c.snapshot()
-        assert snap["active_slots"] == 3
         assert snap["last_commit_ms"] == 123456
         with pytest.raises(KeyError):
             c.set_gauge("rows_accepted", 1)
@@ -175,7 +173,7 @@ class TestCounters:
         with pytest.raises(KeyError):
             c.probe("rows_accepted", lambda: 1)
         with pytest.raises(KeyError):
-            c.probe("active_slots", lambda: 1)
+            c.probe("last_commit_ms", lambda: 1)
         with pytest.raises(KeyError):  # a probed gauge has one writer
             c.set_gauge("queue_depth", 1)
         with pytest.raises(KeyError):
@@ -185,7 +183,7 @@ class TestCounters:
         c = Counters()
         c.add("rows_accepted", 10)
         c.add("rows_committed", 8)
-        c.set_gauge("active_slots", 2)
+        c.set_gauge("last_commit_ms", 2)
         text = c.render()
         lines = text.splitlines()
         assert len(lines) == len(COUNTER_KEYS)
@@ -194,12 +192,12 @@ class TestCounters:
         as_dict = dict(ln.split("=") for ln in lines)
         assert as_dict["rows_accepted"] == "10"
         assert as_dict["rows_committed"] == "8"
-        assert as_dict["active_slots"] == "2"
+        assert as_dict["last_commit_ms"] == "2"
         assert as_dict["rows_rejected"] == "0"
 
     def test_render_lines_parse_back(self):
         c = Counters()
-        for key in ("rows_accepted", "rows_rejected", "slots_activated_total"):
+        for key in ("rows_accepted", "rows_rejected", "slots_aborted_total"):
             c.add(key, 3)
         parsed = {k: int(v) for k, v in
                   (ln.split("=") for ln in c.render().splitlines())}

@@ -364,6 +364,19 @@ class TestStrategyComparison:
         assert steady and all(g == 0 for g in steady)
 
 
+class TestBatchTimes:
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_each_batch_streams_one_interval_from_its_start(self, strategy):
+        cfg = SimConfig(arrival=((0, 2000),), duration_ms=3000, strategy=strategy, **HEADLINE)
+        batches = run_sim(cfg).batches
+        assert len(batches) > 10
+        # a naive slot opens its transaction after its dispatch
+        start_after = 0 if strategy is Strategy.GATE else cfg.t_s_ms * 1000
+        for b in batches:
+            assert b.send_started_at == b.dispatched_at + start_after
+            assert b.send_ended_at == b.send_started_at + cfg.t_d_ms * 1000
+
+
 class TestSingleSender:
     def test_send_spans_pairwise_disjoint(self):
         trace = run_sim(

@@ -1,5 +1,6 @@
 """Slot state machine: edge legality, initiator rules, the cycle count,
-the send-span rule, and the deterministic device routing rule."""
+the instant each phase was entered, the send-span rule, and the
+deterministic device routing rule."""
 
 from zlib import crc32
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gateflow.scheduler import SchedulerState, TimingParams
 from gateflow.slot import (
     Initiator,
     LEGAL_TRANSITIONS,
@@ -63,6 +65,19 @@ class TestEdges:
         walk(s2, [SlotPhase.WAIT, SlotPhase.SEND])
         s2.transition(SlotPhase.RETIRED, Initiator.FAILURE, 30)
         assert s2.retired
+
+
+class TestSince:
+    def test_a_fresh_slot_entered_connect_at_its_activation(self):
+        state = SchedulerState(TimingParams(t_d_us=100))
+        slot = state.slots[state.note_activated(70)]
+        assert (slot.phase, slot.since) == (SlotPhase.CONNECT, 70)
+
+    @pytest.mark.parametrize("src,dst", sorted(LEGAL_TRANSITIONS))
+    def test_every_edge_sets_since_to_its_now(self, src, dst):
+        s = Slot(slot_id=1, phase=src, since=5)
+        s.transition(dst, _initiator_for(src, dst), 40)
+        assert s.since == 40
 
 
 class TestInitiators:
