@@ -14,8 +14,9 @@ until every segment acknowledges its commit; a connection lost
 mid-send aborts the segment transaction (nothing became visible) and
 the retained blobs go back into the pipeline as plain runs, so no row
 is silently lost and none is committed twice. A runner sleeps only in
-``park``. The scheduler tick, a plain callback, wakes it to dispatch or
-abort it, and rows put into an empty queue wake the slot that sends.
+``park``. The scheduler tick, a plain callback, applies its decisions
+to the shared state, then starts a new slot's runner or wakes one to
+send or tear down; rows put into an empty queue wake the slot that sends.
 The tick runs at start, soon after each report a runner makes and
 each failure retirement, when the queue fills while no slot sends, and
 at the instant ``next_deadline`` names for the next timed rule; nothing else
@@ -40,7 +41,6 @@ from .ingest import IngestServer
 from .metrics import Counters
 from .pipeline import RowFifo, Run
 from .scheduler import (
-    AbortSlot,
     ActivateSlot,
     DispatchSender,
     SchedulerState,
@@ -421,23 +421,16 @@ class Gateway:
         nonempty = self.queue.approx_len() > 0
         for action in tick(self.state, now, nonempty):
             if isinstance(action, ActivateSlot):
-                self._activate(now)
-            elif isinstance(action, DispatchSender):
-                # state changes at decision time, not when the
-                # runner wakes, or the next tick could pick a
-                # second sender
-                self.state.note_dispatched(action.slot_id, now)
-                self.runners[action.slot_id].wake()
-            elif isinstance(action, AbortSlot) and not action.deferred:
-                # tick retired it already: wake the runner to tear
-                # down its side
+                self._activate(action.slot_id)
+            elif isinstance(action, DispatchSender) or not action.deferred:
+                # tick dispatched or retired the slot already: wake its
+                # runner to send, or to tear down its side
                 self.runners[action.slot_id].wake()
         due = next_deadline(self.state, now, nonempty)
         if due is not None:
             self._tick_timer = asyncio.get_running_loop().call_at(due / 1_000_000, self._tick)
 
-    def _activate(self, now: int) -> None:
-        sid = self.state.note_activated(now)
+    def _activate(self, sid: int) -> None:
         slot = self.state.slots[sid]
         runner = SlotRunner(self, slot)
         runner.task = asyncio.create_task(runner.run())

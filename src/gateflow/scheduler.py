@@ -22,15 +22,15 @@ instead and converges to the same number:
 
 Abort checks run first within a tick, then dispatch, then growth, so
 the decisions a tick emits are a pure function of (state, now, data
-pending). ``tick`` records each abort in the state as it decides it:
-an immediate abort retires the slot on the spot, a deferred one marks
-it, and the mark is resolved when the slot reports its send end or
-commit ack. Both the live engine and the simulator call this exact
-code, and both move their slots only through the state's
-transition-checked reports. ``next_deadline`` gives the instant a
-timed rule can next fire, from the same per-rule helpers ``tick`` acts
-on, so an engine can tick on reports and deadlines instead of on a
-fixed grid.
+pending). ``tick`` applies each decision to the state as it makes it:
+it adds an activated slot, moves a dispatched one into Send, retires
+a slot on an immediate abort and marks it on a deferred one, the mark
+resolved when the slot reports its send end or commit ack. Both the
+live engine and the simulator call this exact code and only carry its
+decisions out; they move their slots only through the state's
+transition-checked reports. ``next_deadline`` gives the instant a timed
+rule can next fire, from the same per-rule helpers ``tick`` acts on, so
+an engine can tick on reports and deadlines instead of on a fixed grid.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def select_sender(waiting: Iterable[tuple[int, int]]) -> int:
 
 @dataclass(frozen=True)
 class ActivateSlot:
-    pass
+    slot_id: int
 
 
 @dataclass(frozen=True)
@@ -141,12 +141,13 @@ class SchedulerState:
     only record of the slot facts: each slot's phase and the instant it
     entered it. The current sender and the activation and abort totals
     are read from these records, not kept beside them. Engines read
-    ``slots`` but move it only through the ``note_*`` reports (activated,
-    ready, dispatched, send ended, commit acked, and ``note_retired``
-    for a failure or shutdown), each of which takes its edge through
-    ``Slot.transition`` and so raises ``PhaseError`` when illegal.
-    Engines carry out the actions ``tick`` returns; ``tick`` and the
-    two reports that resolve a mark retire slots here themselves.
+    ``slots`` but move it only through the ``note_*`` reports (ready,
+    send ended, commit acked, ``note_retired`` for a failure or
+    shutdown), each of which takes its edge through ``Slot.transition``
+    and so raises ``PhaseError`` when illegal. ``tick`` activates,
+    dispatches and retires slots here itself, as do the two reports
+    that resolve a mark; ``note_activated`` is an engine's only for a
+    slot it forces in outside any tick, as a pre-warmed pool does.
     Timestamps are microseconds on whatever clock the engine runs.
     When a DecisionLog is attached, every report and latency sample is
     journaled so a run can be replayed against a fresh state to prove
@@ -291,13 +292,13 @@ def _idle_trim(state: SchedulerState) -> tuple[Slot, int] | None:
     return victim, victim.since + state.params.t_d_us + 1
 
 
-def _growth_at(state: SchedulerState, pipeline_nonempty: bool, last: Slot | None) -> int | None:
+def _growth_at(state: SchedulerState, pipeline_nonempty: bool) -> int | None:
     """The instant from which the pool may grow, or None while it may
     not: rule 2 wants data waiting and no slot sending, rule 4 wants
-    ``last`` (the last activated slot, if it lives) to have sent, the
-    pool stays within ``max_slots``, and rule 3 spaces growths an
-    interval apart."""
+    the last activated slot, if it lives, to have sent, the pool stays
+    within ``max_slots``, and rule 3 spaces growths an interval apart."""
     params = state.params
+    last = state.slots.get(state.last_activated_slot)
     if (
         not pipeline_nonempty
         or state.current_sender is not None
@@ -313,22 +314,18 @@ def _growth_at(state: SchedulerState, pipeline_nonempty: bool, last: Slot | None
 def tick(state: SchedulerState, now: int, pipeline_nonempty: bool) -> list[Action]:
     """One scheduling decision round. Emits the abort, dispatch and
     activation actions the policy set mandates for this instant, and
-    records each abort in ``state`` as it decides it: an immediate
-    abort retires the slot on the spot and a deferred one marks it, so
-    an engine only tears down its side of an aborted slot."""
+    applies each to ``state`` as it decides it, so an engine only
+    starts, wakes or tears down its side of the slot an action names."""
     params = state.params
     if not state.ticked_once:
         state.ticked_once = True
         state.cycle_started_at = now
         if not state.slots:
             # rule 1: a fresh pool starts with a single slot
-            return [ActivateSlot()]
+            return [ActivateSlot(state.note_activated(now))]
 
     actions: list[Action] = []
     live = state.slots
-    # rule 4 reads the last activated slot as the tick found it: one
-    # that this tick trims before it ever sent still blocks growth
-    last = live.get(state.last_activated_slot)
 
     # rule 6 at dispatch-cycle boundaries: trim slots that moved no
     # rows across the whole finished cycle
@@ -367,14 +364,16 @@ def tick(state: SchedulerState, now: int, pipeline_nonempty: bool) -> list[Actio
             (info.slot_id, info.since) for info in live.values() if info.phase is SlotPhase.WAIT
         ]
         if waiting:
-            actions.append(DispatchSender(select_sender(waiting)))
+            sender = select_sender(waiting)
+            state.note_dispatched(sender, now)
+            actions.append(DispatchSender(sender))
             return actions
 
     # rules 2-4, after dispatch so a freed waiter takes the window
     # before the pool grows
-    grow_at = _growth_at(state, pipeline_nonempty, last)
+    grow_at = _growth_at(state, pipeline_nonempty)
     if grow_at is not None and now >= grow_at:
-        actions.append(ActivateSlot())
+        actions.append(ActivateSlot(state.note_activated(now)))
     return actions
 
 
@@ -394,14 +393,13 @@ def next_deadline(state: SchedulerState, now: int, pipeline_nonempty: bool) -> i
     """
     if not state.ticked_once:
         return None  # the engine's first tick is not a timed one
-    live = state.slots
     due: list[int] = []
-    if live:
+    if state.slots:
         due.append(state.cycle_started_at + state.params.dispatch_cycle_us)
     trim = _idle_trim(state)
     if trim is not None:
         due.append(trim[1])
-    grow_at = _growth_at(state, pipeline_nonempty, live.get(state.last_activated_slot))
+    grow_at = _growth_at(state, pipeline_nonempty)
     if grow_at is not None:
         due.append(grow_at)
     if not due:
@@ -411,10 +409,15 @@ def next_deadline(state: SchedulerState, now: int, pipeline_nonempty: bool) -> i
 
 
 def logged_tick(state: SchedulerState, now: int, pipeline_nonempty: bool) -> list[Action]:
-    """``tick`` plus journaling of inputs and emitted actions."""
-    actions = tick(state, now, pipeline_nonempty)
-    if state.log is not None:
-        state.log.entries.append(TickRecord(now, pipeline_nonempty, tuple(actions)))
+    """``tick`` plus journaling of inputs and emitted actions. What
+    ``tick`` records in the state is output, not journaled as a report."""
+    log, state.log = state.log, None
+    try:
+        actions = tick(state, now, pipeline_nonempty)
+    finally:
+        state.log = log
+    if log is not None:
+        log.entries.append(TickRecord(now, pipeline_nonempty, tuple(actions)))
     return actions
 
 
@@ -426,8 +429,8 @@ class TickRecord:
 
 
 class DecisionLog:
-    """Journal of scheduler inputs (state reports and latency samples)
-    and tick outcomes.
+    """Journal of scheduler inputs (engine reports and latency
+    samples) and tick outcomes; replaying a tick makes its own records.
 
     ``replay`` re-drives the reports into a fresh state and re-runs
     every tick, asserting the same actions come out: the proof that

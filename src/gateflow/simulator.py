@@ -33,7 +33,6 @@ from typing import Any, Callable
 
 from .config import known_keys, require
 from .scheduler import (
-    AbortSlot,
     ABORT_NO_DATA_CYCLE,
     ActivateSlot,
     DecisionLog,
@@ -205,16 +204,23 @@ class SimTrace:
                 TraceEvent(t, kind, slot, detail, reason)
                 for t, kind, slot, detail, reason in data["events"]
             ]
-            trace.batches = [
-                BatchStat(*row) for row in data["batches"]
-            ]
-            trace.interval_slots = [tuple(pair) for pair in data["interval_slots"]]
-            trace.starved_ticks = data["starved_ticks"]
+            trace.batches = [BatchStat(*row) for row in data["batches"]]
+            trace.interval_slots = [(k, n) for k, n in data["interval_slots"]]
+            trace.starved_ticks = list(data["starved_ticks"])
             trace.arrived_rows = data["arrived_rows"]
             trace.committed_rows = data["committed_rows"]
             trace.final_slots = data["final_slots"]
-        except (KeyError, TypeError) as exc:
+            ints = [trace.arrived_rows, trace.committed_rows, trace.final_slots]
+            ints += trace.starved_ticks
+            ints += [v for e in trace.events for v in (e.t, e.slot_id, e.detail)]
+            ints += [v for row in data["batches"] + trace.interval_slots for v in row]
+            strs = [v for e in trace.events for v in (e.kind, e.reason)]
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed trace: {exc!r}") from exc
+        for want, values in ((int, ints), (str, strs)):
+            for v in values:
+                if type(v) is not want:  # bool is no int here
+                    raise ValueError(f"malformed trace: {v!r} where {want.__name__} values belong")
         return trace
 
     def digest(self) -> str:
@@ -314,7 +320,7 @@ class _Sim:
         for at_ms, _ in self.schedule:
             self.push(at_ms * 1000, self.on_rate_change)
         for k in range(self.config.initial_slots):
-            # a pre-warmed pool's slots are activated by force
+            # a pre-warmed pool's slots come with no id: activated by force
             self.push(k * self.t_d, self.apply_activate)
         self.push(0, self.on_tick)
 
@@ -336,22 +342,23 @@ class _Sim:
     def on_tick(self, now: int, _: int = 0) -> None:
         self.materialize(now)
         nonempty = self.backlog > 0
-        actions = logged_tick(self.state, now, nonempty)
-        for action in actions:
+        # tick has applied each action to the state: carry it out here
+        for action in logged_tick(self.state, now, nonempty):
             if isinstance(action, ActivateSlot):
-                self.apply_activate(now)
+                self.apply_activate(now, action.slot_id)
             elif isinstance(action, DispatchSender):
                 self.apply_dispatch(now, action.slot_id)
-            elif isinstance(action, AbortSlot):
-                self.apply_abort(now, action)
+            else:
+                kind = "marked" if action.deferred else "retired"
+                self.emit(now, kind, action.slot_id, 0, action.reason)
         if nonempty and self.state.current_sender is None:
             self.trace.starved_ticks.append(now)
         nxt = now + self.tick_us
         if nxt <= self.duration:
             self.push(nxt, self.on_tick)
 
-    def apply_activate(self, now: int, _: int = 0) -> None:
-        sid = self.state.note_activated(now)
+    def apply_activate(self, now: int, sid: int = 0) -> None:
+        sid = sid or self.state.note_activated(now)
         self.emit(now, "activated", sid)
         if self.gate:
             self.push(now + self.t_s, self.on_connect_done, sid)
@@ -360,7 +367,6 @@ class _Sim:
             self.emit(now, "ready", sid)
 
     def apply_dispatch(self, now: int, sid: int) -> None:
-        self.state.note_dispatched(sid, now)
         self.emit(now, "dispatched", sid)
         if self.gate:
             self.start_streaming(now, sid)
@@ -375,13 +381,6 @@ class _Sim:
         self.drainer = sid
         self.emit(now, "send_start", sid)
         self.push(now + self.t_d, partial(self.on_send_end, now), sid)
-
-    def apply_abort(self, now: int, action: AbortSlot) -> None:
-        # tick has already marked or retired the slot in the state
-        if action.deferred:
-            self.emit(now, "marked", action.slot_id, 0, action.reason)
-        else:
-            self.emit(now, "retired", action.slot_id, 0, action.reason)
 
     def on_connect_done(self, now: int, sid: int) -> None:
         slot = self.state.slots.get(sid)

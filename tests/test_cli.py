@@ -198,6 +198,22 @@ class TestSimulateAndGantt:
         assert err.startswith("error: ") and "config" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("slot, value", [(0, "a"), (2, "x")])
+    def test_trace_with_wrong_value_types_is_usage_error(self, tmp_path, capsys, slot, value):
+        # an event time or slot id that is no int is named, not a traceback
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(yaml.safe_dump(dict(self.SCENARIO, duration_ms=500)))
+        trace_path = tmp_path / "trace.json"
+        assert main(["simulate", "--config", str(scenario), "--out", str(trace_path)]) == 0
+        capsys.readouterr()
+        data = json.loads(trace_path.read_text())
+        data["events"][0][slot] = value
+        trace_path.write_text(json.dumps(data))
+        assert main(["gantt", "--trace", str(trace_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed trace: ") and repr(value) in err
+        assert "Traceback" not in err
+
     def test_simulate_without_out_file(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(yaml.safe_dump(dict(self.SCENARIO, duration_ms=500)))

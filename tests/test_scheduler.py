@@ -127,7 +127,7 @@ def mk_state(t_d_ms=100, cycle_ms=1000, max_slots=64):
 class TestBootstrap:
     def test_first_tick_activates_once(self):
         st_ = mk_state()
-        assert tick(st_, 0, pipeline_nonempty=False) == [ActivateSlot()]
+        assert tick(st_, 0, pipeline_nonempty=False) == [ActivateSlot(1)]
         # no repeat on the next tick: the pool is still empty but the
         # bootstrap fired already; growth now needs data
         assert tick(st_, 10 * MS, pipeline_nonempty=False) == []
@@ -144,18 +144,16 @@ class TestGrowth:
         sid = st_.note_activated(0)
         st_.note_ready(sid, 0)
         assert tick(st_, 0, False) == [DispatchSender(sid)]
-        st_.note_dispatched(sid, 0)
         st_.note_send_ended(sid, rows=10, now=100 * MS)
         # nobody sending, data waiting, spacing satisfied
         acts = tick(st_, 200 * MS, pipeline_nonempty=True)
-        assert ActivateSlot() in acts
+        assert ActivateSlot(2) in acts
 
     def test_no_growth_without_data(self):
         st_ = mk_state()
         sid = st_.note_activated(0)
         st_.note_ready(sid, 0)
         tick(st_, 0, False)
-        st_.note_dispatched(sid, 0)
         st_.note_send_ended(sid, rows=0, now=100 * MS)
         assert tick(st_, 200 * MS, pipeline_nonempty=False) == []
 
@@ -165,7 +163,6 @@ class TestGrowth:
         st_.note_ready(sid, 0)
         actions = tick(st_, 0, False)
         assert DispatchSender(sid) in actions
-        st_.note_dispatched(sid, 0)
         assert tick(st_, 50 * MS, pipeline_nonempty=True) == []
 
     def test_spacing_rule_blocks_back_to_back_growth(self):
@@ -179,7 +176,7 @@ class TestGrowth:
         assert tick(st_, 240 * MS, True) == []
         # wait out the interval: the block lifts
         acts = tick(st_, 260 * MS, True)
-        assert ActivateSlot() in acts
+        assert ActivateSlot(2) in acts
 
     def test_previous_slot_must_send_before_growth(self):
         st_ = mk_state()
@@ -194,7 +191,7 @@ class TestGrowth:
         st_.note_dispatched(b, 320 * MS)
         st_.note_send_ended(b, 5, 420 * MS)
         acts = tick(st_, 430 * MS, True)
-        assert ActivateSlot() in acts
+        assert ActivateSlot(3) in acts
 
     def test_retired_last_slot_unblocks_growth(self):
         st_ = mk_state()
@@ -206,13 +203,13 @@ class TestGrowth:
         st_.note_retired(b, 150 * MS)  # late slot dies before sending
         st_.note_send_ended(a, 5, 200 * MS)
         acts = tick(st_, 300 * MS, True)
-        assert ActivateSlot() in acts
+        assert ActivateSlot(3) in acts
 
     @pytest.mark.parametrize("reason", [ABORT_IDLE_WAIT, ABORT_NO_DATA_CYCLE])
-    def test_the_tick_that_trims_the_unsent_last_slot_does_not_grow(self, reason):
-        # rule 4 reads the last activated slot as the tick found it:
-        # trimming it before it ever sent leaves growth blocked for the
-        # rest of that tick, though rows wait and no slot sends
+    def test_the_tick_that_trims_the_unsent_last_slot_grows_in_the_same_tick(self, reason):
+        # rule 4 reads the pool as it stands: once this tick trims the
+        # last activated slot, which never sent, nothing blocks growth,
+        # and rows wait while no slot sends
         st_ = mk_state(cycle_ms=1000)
         st_.ticked_once = True
         a = st_.note_activated(0)
@@ -225,8 +222,9 @@ class TestGrowth:
         else:
             now = 1000 * MS  # b, still connecting, moved no rows all cycle
         st_.note_send_ended(a, 5, now)
-        assert tick(st_, now, True) == [AbortSlot(b, reason)]
-        assert tick(st_, now, True) == [ActivateSlot()]
+        c = b + 1
+        assert tick(st_, now, True) == [AbortSlot(b, reason), ActivateSlot(c)]
+        assert st_.slots[c].phase is SlotPhase.CONNECT
 
     def test_max_slots_cap(self):
         st_ = mk_state(max_slots=2)
@@ -274,6 +272,43 @@ class TestDispatch:
         st_.note_ready(b, 150 * MS)
         acts = tick(st_, 240 * MS, True)
         assert acts == [DispatchSender(b)]
+
+
+class TestTickAppliesItsDecisions:
+    """tick records a dispatch and an activation as it decides them:
+    an engine only carries them out."""
+
+    def test_dispatch_moves_the_sender_into_send(self):
+        st_ = mk_state()
+        st_.ticked_once = True
+        a = st_.note_activated(0)
+        b = st_.note_activated(0)
+        st_.note_ready(a, 0)
+        st_.note_ready(b, 5 * MS)
+        assert tick(st_, 10 * MS, False) == [DispatchSender(a)]
+        assert st_.slots[a].phase is SlotPhase.SEND
+        assert st_.current_sender == a
+        # a second tick at the same instant finds the window taken
+        assert tick(st_, 10 * MS, False) == []
+        assert st_.slots[b].phase is SlotPhase.WAIT
+
+    @pytest.mark.parametrize("preloaded", [False, True])
+    def test_activation_names_a_connecting_slot(self, preloaded):
+        # rule 1 on a fresh pool, or growth behind a slot that has sent
+        st_ = mk_state()
+        now = 0
+        if preloaded:
+            st_.ticked_once = True
+            a = st_.note_activated(0)
+            st_.note_ready(a, 0)
+            st_.note_dispatched(a, 0)
+            st_.note_send_ended(a, 5, 100 * MS)
+            now = 200 * MS
+        [action] = tick(st_, now, True)
+        assert isinstance(action, ActivateSlot)
+        slot = st_.slots[action.slot_id]
+        assert slot.phase is SlotPhase.CONNECT and slot.activated_at == now
+        assert st_.last_activated_slot == action.slot_id
 
 
 class TestIdleWaitTrim:
@@ -605,11 +640,10 @@ class TestDecisionReplay:
         params = TimingParams(t_d_us=100 * MS, dispatch_cycle_us=1000 * MS)
         st_ = SchedulerState(params, log=log)
         acts = logged_tick(st_, 0, False)
-        assert acts == [ActivateSlot()]
-        a = st_.note_activated(0)
+        assert acts == [ActivateSlot(1)]
+        a = acts[0].slot_id
         st_.note_ready(a, 50 * MS)
-        logged_tick(st_, 50 * MS, True)
-        st_.note_dispatched(a, 50 * MS)
+        assert logged_tick(st_, 50 * MS, True) == [DispatchSender(a)]
         logged_tick(st_, 100 * MS, True)
         st_.note_send_ended(a, 7, 150 * MS)
         logged_tick(st_, 200 * MS, True)
@@ -717,7 +751,7 @@ class TestNextDeadline:
         st_, _ = self.rule_3_state()
         assert next_deadline(st_, 170 * MS, True) == 250 * MS
         assert tick(st_, 249 * MS, True) == []
-        assert tick(st_, 250 * MS, True) == [ActivateSlot()]
+        assert tick(st_, 250 * MS, True) == [ActivateSlot(2)]
 
     def test_rule_3_only_while_data_waits_and_no_sender_is_live(self):
         st_, a = self.rule_3_state()
@@ -741,9 +775,8 @@ class TestNextDeadline:
     def test_nothing_due_when_idle(self):
         st_ = mk_state()
         assert next_deadline(st_, 0, True) is None  # before the first tick
-        assert tick(st_, 0, False) == [ActivateSlot()]
-        a = st_.note_activated(0)
-        st_.note_retired(a, 5 * MS)
+        assert tick(st_, 0, False) == [ActivateSlot(1)]
+        st_.note_retired(1, 5 * MS)
         # no slot, and no data for the pool to grow for
         assert next_deadline(st_, 5 * MS, False) is None
         assert next_deadline(st_, 5 * MS, True) == 100 * MS
@@ -756,9 +789,9 @@ class TestNextDeadline:
         )
     )
     def test_deadline_is_after_now_and_nothing_acts_before_it(self, steps):
-        # random legal runs: after every tick (and the reports its
-        # actions lead to) the deadline lies strictly after now, and a
-        # tick at any earlier instant, with no report, emits nothing
+        # random legal runs: after every tick the deadline lies
+        # strictly after now, and a tick at any earlier instant, with
+        # no report, emits nothing
         st_ = mk_state(cycle_ms=300, max_slots=4)
         now = 0
         for op, dt, flag in steps:
@@ -769,11 +802,7 @@ class TestNextDeadline:
                 return next((sid for sid, p in phases.items() if p is phase), None)
 
             if op == 0:
-                for action in tick(st_, now, flag):
-                    if isinstance(action, ActivateSlot):
-                        st_.note_activated(now)
-                    elif isinstance(action, DispatchSender):
-                        st_.note_dispatched(action.slot_id, now)
+                tick(st_, now, flag)
                 due = next_deadline(st_, now, flag)
                 if due is not None:
                     assert due > now

@@ -4,6 +4,7 @@ comparison, timeline rendering, and decision replay."""
 
 import hashlib
 import importlib.util
+import json
 import random
 from collections import Counter
 from pathlib import Path
@@ -83,6 +84,38 @@ class TestDeterminism:
         again = SimTrace.from_json(trace.to_json())
         assert again.digest() == trace.digest()
         assert again.config == cfg
+
+    @pytest.mark.parametrize(
+        "field, index, value",
+        [
+            ("events", (0, 0), "a"),  # a time
+            ("events", (0, 2), "x"),  # a slot id
+            ("events", (0, 3), True),  # a detail: a bool is no int
+            ("events", (0, 1), 5),  # a kind
+            ("events", (0, 4), None),  # a reason
+            ("batches", (0, 5), 2.5),
+            ("interval_slots", (0, 1), "1"),
+            ("interval_slots", (0,), [0]),  # not a pair
+            ("starved_ticks", (), ["a"]),
+            ("arrived_rows", (), "1"),
+            ("committed_rows", (), 1.0),
+            ("final_slots", (), False),
+        ],
+        ids=["event-time", "event-slot", "event-detail", "event-kind", "event-reason",
+             "batch", "interval-count", "interval-pair", "starved-tick", "arrived-rows",
+             "committed-rows", "final-slots"],
+    )
+    def test_from_json_rejects_wrong_value_types(self, field, index, value):
+        data = json.loads(run_sim(SimConfig(duration_ms=500, **HEADLINE)).to_json())
+        if index:
+            target = data[field]
+            for i in index[:-1]:
+                target = target[i]
+            target[index[-1]] = value
+        else:
+            data[field] = value
+        with pytest.raises(ValueError, match="^malformed trace: "):
+            SimTrace.from_json(json.dumps(data))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -558,6 +591,32 @@ class TestPinnedDecisions:
             retired.update(e.reason for e in trace.events if e.kind == "retired")
         # rule 5 still trims here: the formula size moves with the rate
         assert retired[ABORT_IDLE_WAIT]
+
+
+class TestJournalHoldsEngineInputs:
+    def test_no_journal_holds_what_tick_records(self):
+        # tick records its own dispatches and activations: a journal
+        # holds only engine reports and ticks, and replay makes the
+        # rest again. note_activated would appear only for a
+        # pre-warmed pool, which neither grid uses
+        for cell, trace, params in grid_runs():
+            assert trace.config.initial_slots == 0
+            names = Counter(
+                entry[0] for entry in trace.decision_log.entries if not isinstance(entry, TickRecord)
+            )
+            assert names["note_dispatched"] == 0 and names["note_activated"] == 0, cell
+            assert names["note_ready"] and names["note_send_ended"], cell
+            trace.decision_log.replay(params)
+
+    def test_a_pre_warmed_pool_journals_its_forced_activations(self):
+        trace = run_sim(SimConfig(initial_slots=3, duration_ms=1000, **HEADLINE))
+        log = trace.decision_log
+        forced = [entry for entry in log.entries if not isinstance(entry, TickRecord)]
+        assert [args for name, args in forced if name == "note_activated"] == [
+            (0,), (100 * 1000,), (200 * 1000,)
+        ]
+        assert not any(name == "note_dispatched" for name, _ in forced)
+        log.replay(TimingParams(t_d_us=100 * 1000))
 
 
 class TestPinnedRendering:
