@@ -206,7 +206,7 @@ class TestGrowth:
         assert ActivateSlot(3) in acts
 
     @pytest.mark.parametrize("reason", [ABORT_IDLE_WAIT, ABORT_NO_DATA_CYCLE])
-    def test_the_tick_that_trims_the_unsent_last_slot_grows_in_the_same_tick(self, reason):
+    def test_unsent_last_slot_trim_grows_in_the_same_tick(self, reason):
         # rule 4 reads the pool as it stands: once this tick trims the
         # last activated slot, which never sent, nothing blocks growth,
         # and rows wait while no slot sends
