@@ -7,7 +7,7 @@
     gantt     render a dumped trace as a phase timeline
     bench     measure ingestion speed across cluster sizes
 
-Exit codes: 0 success, 1 usage or config error, 2 bind failure,
+Exit codes: 0 success, 1 usage, config or input-file error, 2 bind failure,
 3 unreachable dependency. --config falls back to $GATEFLOW_CONFIG.
 """
 
@@ -241,12 +241,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ConnectionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEPENDENCY
+    except (ValueError, OSError, KeyError, yaml.YAMLError) as exc:
+        # an unreadable input file or config; a YAML message spans lines
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        print(f"error: {message}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -225,7 +225,7 @@ class SlotRunner:
 
     async def _send_window(self) -> None:
         gw = self.gateway
-        deadline = gw.now() + gw.t_d_us
+        deadline = gw.now() + gw.state.params.t_d_us
         links = self.links
         while gw.now() < deadline:
             room = MAX_BATCH_ROWS - self.batch
@@ -273,7 +273,7 @@ class SlotRunner:
         retired = gw.state.note_commit_acked(sid, ack_at)
         gw.request_tick()
         gw.counters.add("rows_committed", rows)
-        gw.counters.set_gauge("last_commit_ms", ack_at // 1000)
+        gw.last_commit_at = ack_at
         self.batch = 0
         return not retired
 
@@ -316,27 +316,30 @@ class Gateway:
     def __init__(self, config: GatewayConfig) -> None:
         self.config = config
         self.queue = RowFifo(capacity=config.queue_capacity, on_fill=self._queue_filled)
-        self.schema = config.schema_obj()
         self.counters = Counters()
-        self.t_d_us = config.interval_ms * 1000
         params = TimingParams(
-            t_d_us=self.t_d_us,
+            t_d_us=config.interval_ms * 1000,
             dispatch_cycle_us=config.dispatch_cycle_ms * 1000,
             max_slots=config.max_slots,
         )
         self.state = SchedulerState(params)
+        # the loop-clock instant of the last commit ack, 0 before one
+        self.last_commit_at = 0
         # the pool, why it has its size (the estimates, the size they
-        # give, and the rows waiting), read as /metrics is served
+        # give, and the rows waiting), and the last commit, read as
+        # /metrics is served
         state = self.state
         self.counters.probe("active_slots", lambda: len(self.runners))
         self.counters.probe("slots_activated_total", lambda: state.activations_total)
+        self.counters.probe("slots_aborted_total", lambda: state.aborts_total)
+        self.counters.probe("last_commit_ms", lambda: self.last_commit_at // 1000)
         self.counters.probe("est_ts_us", lambda: round(state.est_ts_us or 0))
         self.counters.probe("est_tc_us", lambda: round(state.est_tc_us or 0))
         self.counters.probe("pool_optimal_estimate", lambda: state.estimated_optimal() or 0)
         self.counters.probe("queue_depth", self.queue.approx_len)
         self.nonce = uuid.uuid4().hex[:8]
         host, port = config.listen_host_port()
-        self.ingest = IngestServer(self.queue, self.schema, self.counters, host, port)
+        self.ingest = IngestServer(self.queue, config.schema_obj(), self.counters, host, port)
         self.runners: dict[int, SlotRunner] = {}
         self.audit_slots: list[Slot] = []
         self._tick_soon: asyncio.Handle | None = None
@@ -377,16 +380,14 @@ class Gateway:
         await self.ingest.stop()
 
     async def quiesce(self, timeout_s: float = 30.0) -> bool:
-        """Wait until every accepted row has been committed and the
-        pipeline is empty. Returns False on timeout."""
+        """Wait until every accepted row has been committed. A row still
+        queued or in a sender's batch is accepted and not yet committed,
+        so this also means the pipeline is empty. Returns False on
+        timeout."""
         deadline = asyncio.get_running_loop().time() + timeout_s
         while asyncio.get_running_loop().time() < deadline:
             snap = self.counters.snapshot()
-            if (
-                self.queue.approx_len() == 0
-                and snap["rows_accepted"] == snap["rows_committed"]
-                and all(not r.batch for r in self.runners.values())
-            ):
+            if snap["rows_accepted"] == snap["rows_committed"]:
                 return True
             await asyncio.sleep(0.02)
         return False
@@ -449,8 +450,7 @@ class Gateway:
             self.request_tick()
             self.counters.add("slot_failures_total")
             log.warning("slot %d failed: %s", sid, error)
-        if self.runners.pop(sid, None) is not None and self._running:
-            self.counters.add("slots_aborted_total")
+        self.runners.pop(sid, None)
 
     # -- audit -----------------------------------------------------------
 

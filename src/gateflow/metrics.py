@@ -85,11 +85,12 @@ COUNTER_KEYS = (
     "pool_optimal_estimate",
     "queue_depth",
 )
-GAUGE_KEYS = ("last_commit_ms",)
 # values read from a probe at each snapshot; 0 until one is registered
 PROBED_KEYS = (
     "active_slots",
     "slots_activated_total",
+    "slots_aborted_total",
+    "last_commit_ms",
     "est_ts_us",
     "est_tc_us",
     "pool_optimal_estimate",
@@ -102,9 +103,10 @@ class Counters:
 
     Writers from any thread or task go through one lock; readers take
     plain snapshots, so values are individually current but not
-    mutually consistent. rows_* and *_total only grow; the
-    ``GAUGE_KEYS`` are gauges set by their writers, and the
-    ``PROBED_KEYS`` are read from a probe whenever a snapshot is taken.
+    mutually consistent. The counters, the keys not in
+    ``PROBED_KEYS``, only grow through ``add``; the ``PROBED_KEYS`` are
+    read from a probe whenever a snapshot is taken, from the record
+    that already holds each value, and ``add`` rejects them.
     """
 
     def __init__(self) -> None:
@@ -119,12 +121,6 @@ class Counters:
             raise KeyError(key)
         with self._lock:
             setattr(self, key, getattr(self, key) + amount)
-
-    def set_gauge(self, key: str, value: int) -> None:
-        if key not in GAUGE_KEYS:
-            raise KeyError(key)
-        with self._lock:
-            setattr(self, key, value)
 
     def probe(self, key: str, read: Callable[[], int]) -> None:
         """Take ``key`` from ``read()`` in every snapshot."""

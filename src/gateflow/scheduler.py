@@ -139,8 +139,9 @@ class SchedulerState:
 
     ``slots`` holds the one ``Slot`` record of every live slot, the
     only record of the slot facts: each slot's phase and the instant it
-    entered it. The current sender and the activation and abort totals
-    are read from these records, not kept beside them. Engines read
+    entered it. The current sender, the activation and abort totals
+    and whether the last activated slot has sent are read from these
+    records and ``next_slot_id``, not kept beside them. Engines read
     ``slots`` but move it only through the ``note_*`` reports (ready,
     send ended, commit acked, ``note_retired`` for a failure or
     shutdown), each of which takes its edge through ``Slot.transition``
@@ -161,7 +162,6 @@ class SchedulerState:
         self.ticked_once = False
         self.cycle_started_at = 0
         self.last_activation_at: int | None = None
-        self.last_activated_slot: int | None = None
         self.next_slot_id = 1
         self.est_ts_us: float | None = None
         self.est_tc_us: float | None = None
@@ -192,7 +192,6 @@ class SchedulerState:
         self.next_slot_id += 1
         self.slots[slot_id] = Slot(slot_id, since=now, activated_at=now)
         self.last_activation_at = now
-        self.last_activated_slot = slot_id
         return slot_id
 
     def note_ready(self, slot_id: int, now: int) -> None:
@@ -201,9 +200,7 @@ class SchedulerState:
 
     def note_dispatched(self, slot_id: int, now: int) -> None:
         self._journal("note_dispatched", slot_id, now)
-        slot = self.slots[slot_id]
-        slot.transition(SlotPhase.SEND, Initiator.SCHEDULER, now)
-        slot.entered_send_once = True
+        self.slots[slot_id].transition(SlotPhase.SEND, Initiator.SCHEDULER, now)
 
     def note_send_ended(self, slot_id: int, rows: int, now: int) -> bool:
         """The slot's send window closed with ``rows`` in its batch.
@@ -296,14 +293,17 @@ def _growth_at(state: SchedulerState, pipeline_nonempty: bool) -> int | None:
     """The instant from which the pool may grow, or None while it may
     not: rule 2 wants data waiting and no slot sending, rule 4 wants
     the last activated slot, if it lives, to have sent, the pool stays
-    within ``max_slots``, and rule 3 spaces growths an interval apart."""
+    within ``max_slots``, and rule 3 spaces growths an interval apart.
+    The last activated slot holds the newest id; it has not sent while
+    it is still in its first cycle's Connect or Wait."""
     params = state.params
-    last = state.slots.get(state.last_activated_slot)
+    last = state.slots.get(state.next_slot_id - 1)
     if (
         not pipeline_nonempty
         or state.current_sender is not None
         or len(state.slots) >= params.max_slots
-        or (last is not None and not last.entered_send_once)
+        or (last is not None and last.cycle == 0
+            and last.phase in (SlotPhase.CONNECT, SlotPhase.WAIT))
     ):
         return None
     if state.last_activation_at is None:  # no activation to space from

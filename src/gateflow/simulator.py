@@ -274,8 +274,6 @@ class _Sim:
         self.last_mat = 0
         self.drainer: int | None = None  # the slot streaming the open batch
         self.batch_rows = 0
-        self.arrived = 0
-        self.committed = 0
 
     # -- event plumbing ----------------------------------------------
 
@@ -300,7 +298,7 @@ class _Sim:
                 rows = self.carry // _URQ
                 self.carry -= rows * _URQ
             if rows:
-                self.arrived += rows
+                self.trace.arrived_rows += rows
                 if self.drainer is not None:
                     self.batch_rows += rows
                 else:
@@ -425,7 +423,7 @@ class _Sim:
         if slot is None:
             return
         send_ended_at = slot.since  # in Commit since its send end
-        self.committed += rows
+        self.trace.committed_rows += rows
         self.state.observe_tc(now - send_ended_at)
         self.trace.batches.append(
             BatchStat(sid, dispatched_at, send_started_at, send_ended_at, now, rows)
@@ -443,8 +441,6 @@ class _Sim:
 
     def finish(self) -> None:
         trace = self.trace
-        trace.arrived_rows = self.arrived
-        trace.committed_rows = self.committed
         trace.final_slots = len(self.state.slots)
         # live-pool size at every interval boundary, counting the events
         # at the boundary itself; the events are in time order

@@ -67,8 +67,11 @@ class Slot:
     phase (its activation, then each transition's ``now``), its cycle
     (bumped on every re-entry to Connect, and part of its transaction
     id), the history of its transitions with their initiators, and the
-    facts the scheduler's rules read. No I/O lives here; the runner
-    owns the batch."""
+    facts the scheduler's rules read that the phase does not give: the
+    activation instant, the rows sent this dispatch cycle and a
+    deferred-abort mark. Whether it has ever sent is read from the
+    phase: at cycle 0 a slot in Connect or Wait has not. No I/O lives
+    here; the runner owns the batch."""
 
     slot_id: int
     phase: SlotPhase = SlotPhase.CONNECT
@@ -76,7 +79,6 @@ class Slot:
     cycle: int = 0
     history: list[Transition] = field(default_factory=list)
     activated_at: int = 0
-    entered_send_once: bool = False
     sent_rows_this_cycle: int = 0
     marked_for_abort: bool = False
 

@@ -146,6 +146,50 @@ class TestConfigTypos:
         assert "Traceback" not in err
 
 
+class TestUnreadableInput:
+    # each command's input-file flag, loadgen's with the target it needs
+    FLAGS = {
+        "simulate": ["--config"],
+        "serve": ["--config"],
+        "segmentd": ["--config"],
+        "bench": ["--scenario"],
+        "gantt": ["--trace"],
+        "loadgen": ["--target", "127.0.0.1:1", "--file"],
+    }
+
+    @staticmethod
+    def assert_one_error_line(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("command", ["simulate", "serve", "segmentd", "bench", "gantt"])
+    def test_file_that_does_not_parse(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.delenv("GATEFLOW_CONFIG", raising=False)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("a: [1, 2\n")  # neither YAML nor JSON
+        assert main([command, *self.FLAGS[command], str(bad)]) == 1
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_directory_in_place_of_a_file(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.delenv("GATEFLOW_CONFIG", raising=False)
+        assert main([command, *self.FLAGS[command], str(tmp_path)]) == 1
+        assert "directory" in self.assert_one_error_line(capsys)
+
+    def test_connection_error_stays_a_dependency_error(self, tmp_path, monkeypatch, capsys):
+        # an OSError too, but one that names an unreachable peer
+        def refuse(_config):
+            raise ConnectionRefusedError("segment s0 refused")
+
+        monkeypatch.setattr("gateflow.cli.run_sim", refuse)
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(yaml.safe_dump({"t_d_ms": 100}))
+        assert main(["simulate", "--config", str(scenario)]) == 3
+        assert self.assert_one_error_line(capsys) == "error: segment s0 refused\n"
+
+
 class TestSimulateAndGantt:
     SCENARIO = {
         "t_d_ms": 100,

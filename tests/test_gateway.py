@@ -166,6 +166,83 @@ class TestMetricsExplainThePool:
         asyncio.run(go())
 
 
+class TestProbedMetrics:
+    def test_last_commit_ms_is_the_loop_clock_of_the_last_ack(self):
+        async def go():
+            # a 400 ms window: no commit, not even an empty one, lands
+            # before the first document is read
+            async with live_gateway(n_segments=1, interval_ms=400) as (gw, _):
+                assert (await get_metrics(gw.ingest_port))["last_commit_ms"] == 0
+                before = gw.now() // 1000
+                status, _ = await post_lines(gw.ingest_port, lines_for(range(10)))
+                assert status == 200
+                assert await gw.quiesce(timeout_s=5)
+                doc = await get_metrics(gw.ingest_port)
+                after = gw.now() // 1000
+                assert before <= doc["last_commit_ms"] <= after
+
+        asyncio.run(go())
+
+    def test_aborts_are_the_states_after_a_failure(self):
+        async def go():
+            async with live_gateway(n_segments=1) as (gw, daemons):
+                await post_lines(gw.ingest_port, lines_for(range(20)))
+                assert await gw.quiesce(timeout_s=10)
+                await daemons[0].stop()  # the sender finds its link lost
+                for _ in range(500):
+                    if gw.counters.snapshot()["slot_failures_total"]:
+                        break
+                    await asyncio.sleep(0.01)
+                snap = gw.counters.snapshot()
+                assert snap["slot_failures_total"] >= 1
+                assert snap["slots_aborted_total"] == gw.state.aborts_total >= 1
+
+        asyncio.run(go())
+
+    def test_aborts_are_the_states_after_a_trim(self):
+        async def go():
+            async with live_gateway(
+                n_segments=1,
+                interval_ms=50,
+                dispatch_cycle_ms=300,
+                seg_kw=dict(commit_fixed_ms=40),
+            ) as (gw, _):
+                await post_lines(gw.ingest_port, lines_for(range(400)))
+                assert await gw.quiesce(timeout_s=20)
+                for _ in range(300):  # rules 5 and 6 drain the idle pool
+                    if not gw.runners:
+                        break
+                    await asyncio.sleep(0.02)
+                snap = gw.counters.snapshot()
+                assert snap["slot_failures_total"] == 0
+                assert snap["slots_aborted_total"] == gw.state.aborts_total >= 1
+
+        asyncio.run(go())
+
+
+class TestQuiesce:
+    def test_quiesce_waits_for_the_commit(self):
+        async def go():
+            async with live_gateway(n_segments=1, interval_ms=400) as (gw, _):
+                loop = asyncio.get_running_loop()
+                give_up = loop.time() + 10
+                while True:  # a send window that has just opened
+                    sender = gw.state.current_sender
+                    slot = gw.state.slots.get(sender) if sender is not None else None
+                    if slot is not None and gw.now() - slot.since < 20_000:
+                        break
+                    assert loop.time() < give_up, "no fresh send window"
+                    await asyncio.sleep(0.001)
+                status, _ = await post_lines(gw.ingest_port, lines_for(range(5)))
+                assert status == 200
+                # the rows sit in the sender's batch until its window ends
+                assert not await gw.quiesce(timeout_s=0.05)
+                assert await gw.quiesce(timeout_s=5)
+                assert gw.counters.snapshot()["rows_committed"] == 5
+
+        asyncio.run(go())
+
+
 class TestOneSlotRecord:
     def test_runners_drive_the_slots_the_state_holds(self):
         # the runner, the audit list and the scheduler state share one

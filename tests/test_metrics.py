@@ -156,12 +156,14 @@ class TestCounters:
 
     def test_gauge_set_and_guard(self):
         c = Counters()
-        c.set_gauge("last_commit_ms", 7)
-        c.set_gauge("last_commit_ms", 123456)
+        commit_ms = [7]
+        c.probe("last_commit_ms", lambda: commit_ms[0])
+        commit_ms[0] = 123456
         snap = c.snapshot()
         assert snap["last_commit_ms"] == 123456
-        with pytest.raises(KeyError):
-            c.set_gauge("rows_accepted", 1)
+        for key in ("last_commit_ms", "slots_aborted_total"):
+            with pytest.raises(KeyError):  # probed: no writer adds to it
+                c.add(key)
 
     def test_probed_gauge_is_read_at_each_snapshot(self):
         c = Counters()
@@ -173,17 +175,15 @@ class TestCounters:
         with pytest.raises(KeyError):
             c.probe("rows_accepted", lambda: 1)
         with pytest.raises(KeyError):
-            c.probe("last_commit_ms", lambda: 1)
+            c.probe("slot_failures_total", lambda: 1)
         with pytest.raises(KeyError):  # a probed gauge has one writer
-            c.set_gauge("queue_depth", 1)
-        with pytest.raises(KeyError):
             c.add("queue_depth")
 
     def test_render_format(self):
         c = Counters()
         c.add("rows_accepted", 10)
         c.add("rows_committed", 8)
-        c.set_gauge("last_commit_ms", 2)
+        c.probe("last_commit_ms", lambda: 2)
         text = c.render()
         lines = text.splitlines()
         assert len(lines) == len(COUNTER_KEYS)
@@ -197,7 +197,7 @@ class TestCounters:
 
     def test_render_lines_parse_back(self):
         c = Counters()
-        for key in ("rows_accepted", "rows_rejected", "slots_aborted_total"):
+        for key in ("rows_accepted", "rows_rejected", "slot_failures_total"):
             c.add(key, 3)
         parsed = {k: int(v) for k, v in
                   (ln.split("=") for ln in c.render().splitlines())}

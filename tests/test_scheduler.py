@@ -308,7 +308,7 @@ class TestTickAppliesItsDecisions:
         assert isinstance(action, ActivateSlot)
         slot = st_.slots[action.slot_id]
         assert slot.phase is SlotPhase.CONNECT and slot.activated_at == now
-        assert st_.last_activated_slot == action.slot_id
+        assert action.slot_id == st_.next_slot_id - 1
 
 
 class TestIdleWaitTrim:
