@@ -1,7 +1,7 @@
 """Count how often the simulated pool grows a slot it later trims, per
 begin latency and arrival rate.
 
-For each (t_s, rate) the simulator runs Poisson arrivals on its default
+For each (t_s, rate) the simulator runs Poisson arrivals on its 1 ms
 tick grid, with t_d 50 ms and a commit of 20 ms + 20 us/row, and prints
 the slots it activated, the ticks on which rows waited while no slot
 sent ("starved"), the pool it settled on (the most common size over the

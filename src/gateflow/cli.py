@@ -200,7 +200,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_gantt(args: argparse.Namespace) -> int:
     with open(args.trace, encoding="utf-8") as fh:
-        trace = SimTrace.from_json(fh.read())
+        try:
+            trace = SimTrace.from_json(fh.read())
+        except json.JSONDecodeError as exc:
+            # json names a line and column but not the file, as YAML does
+            raise ValueError(f'{exc} in "{args.trace}"') from exc
     print(render_gantt(trace, bucket_ms=args.bucket_ms))
     return EXIT_OK
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import Any
+from typing import Any, TextIO
 
 import yaml
 
@@ -142,8 +142,10 @@ class GatewayConfig:
         return hashlib.sha256(raw.encode()).hexdigest()[:12]
 
 
-def parse_config(text: str) -> GatewayConfig:
-    data = yaml.safe_load(text)
+def parse_config(source: str | TextIO) -> GatewayConfig:
+    """The config in YAML text or an open file; a file's parse errors
+    carry its name."""
+    data = yaml.safe_load(source)
     if not isinstance(data, dict):
         raise ValueError("config root must be a mapping")
     return GatewayConfig.from_dict(data)
@@ -151,4 +153,4 @@ def parse_config(text: str) -> GatewayConfig:
 
 def load_config(path: str) -> GatewayConfig:
     with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh)

@@ -190,10 +190,8 @@ class IngestServer(Listener):
         super().__init__(host, port)
         self.counters = counters
         self.ingestors = [LineIngestor(queue, schema)]
-        self._conn_count = 0
 
     async def handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        self._conn_count += 1
         while True:
             try:
                 head = await _read_head(reader)

@@ -50,12 +50,6 @@ _URQ = 1_000_000  # micro-rows per row: arrival integration unit
 _POOL_DELTA = {"activated": 1, "retired": -1}
 
 
-def tick_interval_us(t_d_us: int) -> int:
-    """The fixed tick grid of ``SimConfig(tick_ms=None)``: a tenth of
-    the interval, capped at 50 ms and floored at 100 us."""
-    return max(100, min(t_d_us // 10, 50_000))
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Scenario description. Times in ms, rates in rows/sec."""
@@ -70,7 +64,7 @@ class SimConfig:
     strategy: Strategy = Strategy.GATE
     max_slots: int = 64
     dispatch_cycle_ms: int = 10_000
-    tick_ms: int | None = None
+    tick_ms: int = 1
     # pre-warmed pool: slot k is force-activated at (k-1)*t_d, one per
     # interval, so the seeded rotation starts in phase instead of all
     # slots becoming ready at once and tripping the idle-wait trim
@@ -81,9 +75,8 @@ class SimConfig:
         require(int, "", t_d_ms=self.t_d_ms, t_s_ms=self.t_s_ms,
                 commit_fixed_ms=self.commit_fixed_ms, commit_per_row_us=self.commit_per_row_us,
                 duration_ms=self.duration_ms, max_slots=self.max_slots,
-                dispatch_cycle_ms=self.dispatch_cycle_ms, initial_slots=self.initial_slots)
-        if self.tick_ms is not None:
-            require(int, "", tick_ms=self.tick_ms)
+                dispatch_cycle_ms=self.dispatch_cycle_ms, initial_slots=self.initial_slots,
+                tick_ms=self.tick_ms)
         for step in self.arrival:
             if not isinstance(step, (tuple, list)) or len(step) != 2:
                 raise ValueError(f"arrival steps must be [at_ms, rows_per_sec], got {step!r}")
@@ -107,7 +100,7 @@ class SimConfig:
             raise ValueError("arrival schedule must start at t=0")
         if self.initial_slots < 0 or self.initial_slots > self.max_slots:
             raise ValueError("initial_slots out of range")
-        if self.tick_ms is not None and self.tick_ms < 1:
+        if self.tick_ms < 1:
             raise ValueError("tick_ms must be >= 1")
 
     def to_dict(self) -> dict[str, Any]:
@@ -249,9 +242,7 @@ class _Sim:
         self.commit_fixed = config.commit_fixed_ms * 1000
         self.per_row = config.commit_per_row_us
         self.duration = config.duration_ms * 1000
-        self.tick_us = (
-            config.tick_ms * 1000 if config.tick_ms else tick_interval_us(self.t_d)
-        )
+        self.tick_us = config.tick_ms * 1000
         self.gate = config.strategy is Strategy.GATE
         params = TimingParams(
             t_d_us=self.t_d,

@@ -125,6 +125,7 @@ class TestConfigTypos:
             ("serve", {"queue_capacity": [1], "segments": [{"id": "s0"}]}, "queue_capacity"),
             ("simulate", {"t_d_ms": "abc"}, "t_d_ms"),
             ("simulate", {"arrival": [[0, "fast"]]}, "rows_per_sec"),
+            ("simulate", {"tick_ms": None}, "tick_ms"),
         ],
     )
     def test_wrong_type_is_usage_error(self, tmp_path, capsys, command, data, key):
@@ -170,7 +171,8 @@ class TestUnreadableInput:
         bad = tmp_path / "bad.yaml"
         bad.write_text("a: [1, 2\n")  # neither YAML nor JSON
         assert main([command, *self.FLAGS[command], str(bad)]) == 1
-        self.assert_one_error_line(capsys)
+        err = self.assert_one_error_line(capsys)
+        assert "bad.yaml" in err and "<unicode string>" not in err
 
     @pytest.mark.parametrize("command", sorted(FLAGS))
     def test_directory_in_place_of_a_file(self, tmp_path, monkeypatch, capsys, command):

@@ -470,7 +470,7 @@ class TestHttpServer:
                     status, headers, _ = await c.request("GET", "/healthz")
                     assert status == 200
                     assert headers["connection"] == "keep-alive"
-                assert srv._conn_count == 1
+                assert len(srv._conns) == 1  # the listener's registry of open connections
                 await c.close()
 
         asyncio.run(go())

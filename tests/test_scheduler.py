@@ -26,7 +26,6 @@ from gateflow.scheduler import (
     select_sender,
     tick,
 )
-from gateflow.simulator import tick_interval_us
 from gateflow.slot import Initiator, PhaseError, SlotPhase
 
 MS = 1000  # microseconds per millisecond
@@ -107,11 +106,6 @@ class TestTimingParams:
             TimingParams(t_d_us=100, dispatch_cycle_us=50)
         with pytest.raises(ValueError):
             TimingParams(t_d_us=100, dispatch_cycle_us=100, max_slots=0)
-
-    def test_tick_granularity(self):
-        assert tick_interval_us(100 * MS) == 10 * MS  # a tenth
-        assert tick_interval_us(10_000 * MS) == 50 * MS  # capped
-        assert tick_interval_us(500) == 100  # floored
 
 
 def mk_state(t_d_ms=100, cycle_ms=1000, max_slots=64):

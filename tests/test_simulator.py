@@ -130,6 +130,8 @@ class TestDeterminism:
             SimConfig(arrival=((0, -1),))
         with pytest.raises(ValueError):
             SimConfig(initial_slots=99, max_slots=4)
+        with pytest.raises(ValueError, match="tick_ms"):
+            SimConfig(tick_ms=None)
 
 
 class TestPoolConvergence:
@@ -171,15 +173,24 @@ class TestNoChurnAtFormulaSize:
     # t_s from just over half to over twice t_d: once t_s > t_d the next
     # slot in line waits past t_d at every rotation, and a rule 5 that
     # trimmed it anyway made 46-89 activations per case instead of
-    # settling. The pool's final size is not asserted: at t_s 30 and
-    # low rates it settles one below the formula on this grid
-    @pytest.mark.parametrize(
-        "t_s_ms, rate",
-        [(t_s, rate) for t_s in pool_churn.T_S_MS for rate in pool_churn.RATES],
-    )
+    # settling. Every cell runs on the 1 ms tick grid
+    GRID = [(t_s, rate) for t_s in pool_churn.T_S_MS for rate in pool_churn.RATES]
+
+    @pytest.mark.parametrize("t_s_ms, rate", GRID)
     def test_pool_settles_in_a_few_activations(self, t_s_ms, rate):
         activations, _, _, _ = pool_churn.run_case(t_s_ms, rate)
         assert activations <= pool_churn.MAX_ACTIVATIONS
+
+    @pytest.mark.parametrize("t_s_ms, rate", [
+        pytest.param(*cell, marks=pytest.mark.xfail(strict=True, reason=(
+            "settles at 2 against 3: t_d+t_s+t_c is 100.5 ms, just past 2 t_d, "
+            "where the pool settles one slot short (scripts/pool_convergence.py)"
+        ))) if cell == (30, 500) else cell
+        for cell in GRID
+    ])
+    def test_pool_settles_at_the_formula_size(self, t_s_ms, rate):
+        _, _, settled, formula = pool_churn.run_case(t_s_ms, rate)
+        assert settled == formula
 
 
 class TestIdleAfterLoad:
